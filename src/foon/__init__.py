@@ -31,8 +31,6 @@ from .graph import (
     StateDescriptor,
     TaskTree,
     build_graph,
-    canonical_node_key,
-    kitchen_satisfies,
     normalize,
 )
 from .io import (
@@ -53,11 +51,7 @@ from .search import (
     RetrievalConfig,
     RetrievalStats,
     TaskTreeNotFound,
-    heuristic_input_count,
-    heuristic_success,
     retrieve,
-    retrieve_gbfs,
-    retrieve_ids,
     validate_tree,
 )
 
@@ -91,21 +85,15 @@ __all__ = [
     "TreeMetrics",
     "UnknownGoalError",
     "build_graph",
-    "canonical_node_key",
     "compare_algorithms",
     "enumerate_all_task_trees",
     "export_dot",
-    "heuristic_input_count",
-    "heuristic_success",
-    "kitchen_satisfies",
     "normalize",
     "parse_foon",
     "parse_goal",
     "parse_kitchen",
     "parse_motion_profile",
     "retrieve",
-    "retrieve_gbfs",
-    "retrieve_ids",
     "serialize_foon",
     "tree_metrics",
     "validate_tree",

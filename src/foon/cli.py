@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from .errors import (
     EmptyUniverseError,
@@ -26,7 +28,7 @@ from .errors import (
     ParseError,
     UnknownGoalError,
 )
-from .evaluate import TreeMetrics, compare_algorithms, tree_metrics
+from .evaluate import compare_algorithms, tree_metrics
 from .graph import FoonGraph, MotionProfile, build_graph
 from .io import (
     ERROR,
@@ -41,7 +43,6 @@ from .search import (
     ALGORITHMS,
     GBFS_SUCCESS,
     RetrievalConfig,
-    RetrievalStats,
     TaskTreeNotFound,
     retrieve,
 )
@@ -58,6 +59,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _bounded(
+    convert: Callable[[str], float], low: float, high: float, expected: str
+) -> Callable[[str], float]:
+    """An argparse ``type`` that converts and range-checks a flag value."""
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:  # NaN fails the range check
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_max_depth = _bounded(int, 1, math.inf, "a positive integer")
+_rate = _bounded(float, 0.0, 1.0, "a rate in [0, 1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,11 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--motions", help="motion success rate file (required by gbfs-success)"
     )
     retrieve_cmd.add_argument(
-        "--max-depth", type=int, default=50, help="depth limit for ids (default 50)"
+        "--max-depth", type=_max_depth, default=50, help="depth limit for ids (default 50)"
     )
     retrieve_cmd.add_argument(
         "--default-rate",
-        type=float,
+        type=_rate,
         default=None,
         help="success rate for motions missing from the profile",
     )
@@ -117,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--goal", required=True, help="goal object file")
     compare.add_argument("--motions", required=True, help="motion success rate file")
     compare.add_argument(
-        "--max-depth", type=int, default=50, help="depth limit for ids (default 50)"
+        "--max-depth", type=_max_depth, default=50, help="depth limit for ids (default 50)"
     )
     compare.add_argument("--json", help="also write the report as JSON")
     compare.add_argument(
@@ -158,24 +180,6 @@ def _load_graph(path: str) -> FoonGraph:
     return graph
 
 
-def _metrics_dict(metrics: TreeMetrics) -> dict:
-    return {
-        "unit_count": metrics.unit_count,
-        "success_product": metrics.success_product,
-        "success_min": metrics.success_min,
-        "max_chain_depth": metrics.max_chain_depth,
-        "leaf_count": metrics.leaf_count,
-    }
-
-
-def _stats_dict(stats: RetrievalStats) -> dict:
-    return {
-        "expanded_units": stats.expanded_units,
-        "peak_open_set": stats.peak_open_set,
-        "depth_reached": stats.depth_reached,
-    }
-
-
 def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -183,18 +187,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    units, diagnostics = parse_foon(Path(args.foon).read_bytes())
-    for diagnostic in diagnostics:
-        print(diagnostic, file=sys.stderr)
-    if any(d.severity == ERROR for d in diagnostics):
-        return EXIT_BAD_INPUT
-    graph = build_graph(units)
-    if graph.duplicates_dropped:
-        print(
-            f"warning: dropped {_count(graph.duplicates_dropped, 'duplicate unit')}",
-            file=sys.stderr,
-        )
-    print(f"{_count(len(graph.units), 'unit')}, {_count(len(graph.node_catalog), 'object node')}")
+    try:
+        graph = _load_graph(args.foon)
+    except ParseError:
+        return EXIT_BAD_INPUT  # the diagnostics are already on stderr
+    nodes = {node.key for unit in graph.units for node in (*unit.inputs, *unit.outputs)}
+    print(f"{_count(len(graph.units), 'unit')}, {_count(len(nodes), 'object node')}")
     return EXIT_OK
 
 
@@ -205,9 +203,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             " or --default-rate",
             file=sys.stderr,
         )
-        return EXIT_USAGE
-    if args.max_depth < 1:
-        print("foon retrieve: error: --max-depth must be positive", file=sys.stderr)
         return EXIT_USAGE
     graph = _load_graph(args.foon)
     kitchen = parse_kitchen(_read_text(args.kitchen))
@@ -240,8 +235,8 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 "algorithm": tree.algorithm_tag,
                 "goal": tree.goal_key,
                 "outcome": "found",
-                "metrics": _metrics_dict(metrics),
-                "stats": _stats_dict(stats),
+                "metrics": asdict(metrics),
+                "stats": asdict(stats),
             },
         )
     if tree.steps:
@@ -256,9 +251,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.max_depth < 1:
-        print("foon compare: error: --max-depth must be positive", file=sys.stderr)
-        return EXIT_USAGE
     graph = _load_graph(args.foon)
     kitchen = parse_kitchen(_read_text(args.kitchen))
     goal = parse_goal(_read_text(args.goal))

@@ -11,7 +11,7 @@ deepening.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import OracleCapExceededError
 from .graph import (
@@ -21,8 +21,6 @@ from .graph import (
     MotionProfile,
     ObjectNode,
     TaskTree,
-    canonical_node_key,
-    kitchen_satisfies,
 )
 from .search import (
     ALGORITHMS,
@@ -83,7 +81,7 @@ def tree_metrics(
     for step in tree.steps:
         deepest_input = 0
         for key in step.input_keys():
-            if kitchen is not None and kitchen_satisfies(kitchen, key):
+            if kitchen is not None and key in kitchen:
                 leaves.add(key)
                 contribution = 0
             elif key in produced:
@@ -157,13 +155,13 @@ def enumerate_all_task_trees(
             f"universe has {len(graph.units)} units, oracle cap is {oracle_cap}"
         )
     cap = len(graph.units) if depth_cap is None else depth_cap
-    goal_key = canonical_node_key(goal)
+    goal_key = goal.key
     producers = graph.producers
 
     def resolve_key(
         key: str, depth: int, partial: _Partial, path: frozenset[str]
     ) -> list[tuple[_Partial, int]]:
-        if kitchen_satisfies(kitchen, key):
+        if key in kitchen:
             return [(partial, 0)]
         if key in path:
             return []
@@ -233,20 +231,8 @@ class ComparisonReport:
         for name, run in self.runs.items():
             entry: dict[str, object] = {
                 "outcome": run.outcome,
-                "metrics": None
-                if run.metrics is None
-                else {
-                    "unit_count": run.metrics.unit_count,
-                    "success_product": run.metrics.success_product,
-                    "success_min": run.metrics.success_min,
-                    "max_chain_depth": run.metrics.max_chain_depth,
-                    "leaf_count": run.metrics.leaf_count,
-                },
-                "stats": {
-                    "expanded_units": run.stats.expanded_units,
-                    "peak_open_set": run.stats.peak_open_set,
-                    "depth_reached": run.stats.depth_reached,
-                },
+                "metrics": None if run.metrics is None else asdict(run.metrics),
+                "stats": asdict(run.stats),
             }
             if include_timings:
                 entry["wall_ms"] = round(run.wall_ms, 3)
@@ -312,7 +298,7 @@ def compare_algorithms(
     goal raises UnknownGoalError out of the first run, before any result is
     assembled, so all three algorithms reject it identically.
     """
-    goal_key = canonical_node_key(goal)
+    goal_key = goal.key
     runs: dict[str, AlgorithmRun] = {}
     for algorithm in ALGORITHMS:
         config = RetrievalConfig(

@@ -2,15 +2,15 @@
 
 A universe is a collection of functional units.  Each unit pairs one motion
 with the object nodes it consumes (inputs) and the object nodes it produces
-(outputs).  Object nodes are identified by a canonical text key built from
-the normalized object name plus its sorted state descriptors; the in-motion
-flag is deliberately left out of the identity so that the same object can
-chain from one unit's output into another unit's input.
+(outputs).  Object nodes are identified by ``ObjectNode.key``, a text key
+built once from the normalized object name plus its sorted state
+descriptors; the in-motion flag is deliberately left out of the identity so
+that the same object can chain from one unit's output into another unit's
+input.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -77,13 +77,18 @@ class StateDescriptor:
 class ObjectNode:
     """An object in a particular set of states.
 
-    ``in_motion`` mirrors the 0/1 flag on object lines; it is preserved for
-    round-tripping but does not participate in node identity.
+    ``key`` is the node's identity, computed once on construction from the
+    normalized name plus the sorted state serials: ``onions|whole``,
+    ``onions|chopped+in[chopping board]``, ``cup|contains{ice}``; a
+    stateless node keys as ``chopping board|``.  ``in_motion`` mirrors the
+    0/1 flag on object lines; it is preserved for round-tripping but does not
+    participate in node identity.
     """
 
     name: str
     states: frozenset[StateDescriptor] = frozenset()
     in_motion: int = 0
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         name = normalize(self.name)
@@ -93,22 +98,11 @@ class ObjectNode:
             raise ValueError("in-motion flag must be 0 or 1")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "states", frozenset(self.states))
+        serials = "+".join(state.serial() for state in self.sorted_states())
+        object.__setattr__(self, "key", f"{name}|{serials}")
 
     def sorted_states(self) -> tuple[StateDescriptor, ...]:
         return tuple(sorted(self.states, key=StateDescriptor.serial))
-
-    def key(self) -> str:
-        return canonical_node_key(self)
-
-
-@functools.lru_cache(maxsize=None)
-def canonical_node_key(node: ObjectNode) -> str:
-    """Deterministic node identity: name plus sorted state serials.
-
-    Examples: ``onions|whole``, ``onions|chopped+in[chopping board]``,
-    ``cup|contains{ice}``; a stateless node keys as ``chopping board|``.
-    """
-    return node.name + "|" + "+".join(s.serial() for s in node.sorted_states())
 
 
 @dataclass(frozen=True)
@@ -157,10 +151,10 @@ class FunctionalUnit:
             raise ValueError("a functional unit needs at least one output object")
 
     def input_keys(self) -> tuple[str, ...]:
-        return tuple(canonical_node_key(node) for node in self.inputs)
+        return tuple(node.key for node in self.inputs)
 
     def output_keys(self) -> tuple[str, ...]:
-        return tuple(canonical_node_key(node) for node in self.outputs)
+        return tuple(node.key for node in self.outputs)
 
     def to_text(self) -> str:
         """Canonical tab-delimited block (ends with a newline, no separator).
@@ -220,19 +214,21 @@ class MotionProfile:
 
 @dataclass
 class Kitchen:
-    """The object nodes currently available; duplicates collapse by key."""
+    """The object nodes currently available; duplicates collapse by key.
+
+    Availability is exact: ``key in kitchen`` holds only for an item with
+    that name and full state set; an item whose states merely include the
+    requested ones does not count.
+    """
 
     items: tuple[ObjectNode, ...] = ()
 
     def __post_init__(self) -> None:
         unique: dict[str, ObjectNode] = {}
         for node in self.items:
-            unique.setdefault(canonical_node_key(node), node)
+            unique.setdefault(node.key, node)
         self.items = tuple(unique.values())
         self._keys = frozenset(unique)
-
-    def keys(self) -> frozenset[str]:
-        return self._keys
 
     def __contains__(self, key: str) -> bool:
         return key in self._keys
@@ -244,27 +240,16 @@ class Kitchen:
         return iter(self.items)
 
 
-def kitchen_satisfies(kitchen: Kitchen, key: str) -> bool:
-    """Exact-match availability: the kitchen holds a node with this key.
-
-    Matching is deliberately exact on name plus full state set; a kitchen
-    item whose states merely include the requested ones does not count.
-    """
-    return key in kitchen
-
-
 @dataclass
 class FoonGraph:
-    """A deduplicated universe of units plus lookup indexes.
+    """A deduplicated universe of units plus the producers index.
 
     ``producers`` maps every output node key to the units that produce it, in
-    file order.  ``node_catalog`` maps every node key seen anywhere to one
-    representative ObjectNode.  Treat instances as immutable once built.
+    file order.  Treat instances as immutable once built.
     """
 
     units: tuple[FunctionalUnit, ...]
     producers: dict[str, tuple[FunctionalUnit, ...]]
-    node_catalog: dict[str, ObjectNode]
     duplicates_dropped: int = 0
 
 
@@ -288,18 +273,12 @@ def build_graph(units: Iterable[FunctionalUnit]) -> FoonGraph:
     if not kept:
         raise EmptyUniverseError("empty universe: no functional units")
     producers: dict[str, list[FunctionalUnit]] = {}
-    catalog: dict[str, ObjectNode] = {}
     for unit in kept:
-        for node in unit.inputs:
-            catalog.setdefault(canonical_node_key(node), node)
         for node in unit.outputs:
-            key = canonical_node_key(node)
-            catalog.setdefault(key, node)
-            producers.setdefault(key, []).append(unit)
+            producers.setdefault(node.key, []).append(unit)
     return FoonGraph(
         units=tuple(kept),
         producers={key: tuple(value) for key, value in producers.items()},
-        node_catalog=catalog,
         duplicates_dropped=dropped,
     )
 

@@ -29,7 +29,6 @@ from .graph import (
     ObjectNode,
     StateDescriptor,
     TaskTree,
-    canonical_node_key,
     normalize,
 )
 
@@ -177,7 +176,7 @@ class _UnitAccumulator:
         )
         input_keys = set(unit.input_keys())
         for node, node_line in self.outputs:
-            key = canonical_node_key(node)
+            key = node.key
             if key in input_keys:
                 self.diagnostics.append(
                     ParseDiagnostic(
@@ -359,7 +358,7 @@ def export_dot(source: FoonGraph | TaskTree, goal_key: str | None = None) -> str
     ids: dict[str, str] = {}
 
     def object_id(node: ObjectNode) -> str:
-        key = canonical_node_key(node)
+        key = node.key
         if key not in ids:
             ids[key] = f"o{len(ids)}"
             parts = [_dot_escape(node.name)]

@@ -29,16 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import FoonError, MissingMotionRateError, UnknownGoalError
-from .graph import (
-    FoonGraph,
-    FunctionalUnit,
-    Kitchen,
-    MotionProfile,
-    ObjectNode,
-    TaskTree,
-    canonical_node_key,
-    kitchen_satisfies,
-)
+from .graph import FoonGraph, FunctionalUnit, Kitchen, ObjectNode, TaskTree
 
 IDS = "ids"
 GBFS_SUCCESS = "gbfs-success"
@@ -52,7 +43,7 @@ _Order = Callable[[Iterable[FunctionalUnit]], _Ranked]
 
 @dataclass
 class RetrievalConfig:
-    """Knobs shared by the retrieval entry points.
+    """Knobs for ``retrieve``.
 
     ``max_depth`` caps iterative deepening only.  ``motion_profile`` and
     ``strict_motions`` matter only to gbfs-success, and ``backtrack`` only
@@ -90,7 +81,7 @@ class RetrievalStats:
 
 @dataclass(frozen=True)
 class ChoiceRecord:
-    """One greedy choice point: the ranked candidates for a subgoal key.
+    """One choice point: the ranked candidates for a subgoal key.
 
     ``accepted`` indexes the candidate whose subtree succeeded (or that was
     reused); None means every candidate failed.  Records are appended in
@@ -109,18 +100,6 @@ class TaskTreeNotFound(FoonError):
         super().__init__(reason)
         self.reason = reason
         self.stats = stats
-
-
-def heuristic_success(
-    unit: FunctionalUnit, profile: MotionProfile, strict: bool = False
-) -> float:
-    """Success rate of the unit's motion; greedy search prefers higher."""
-    return profile.rate_for(unit.motion.label, strict=strict)
-
-
-def heuristic_input_count(unit: FunctionalUnit) -> int:
-    """Number of input object nodes; greedy search prefers fewer."""
-    return len(unit.inputs)
 
 
 def _resolve(
@@ -158,7 +137,7 @@ def _resolve(
         stats.peak_open_set = max(stats.peak_open_set, open_subgoals)
         stats.depth_reached = max(stats.depth_reached, depth)
         try:
-            if kitchen_satisfies(kitchen, key):
+            if key in kitchen:
                 return 0
             if key in path:
                 return None
@@ -217,108 +196,82 @@ def _resolve(
     return list(steps)
 
 
-def _ensure_known_goal(graph: FoonGraph, kitchen: Kitchen, goal_key: str) -> None:
-    if goal_key not in graph.producers and not kitchen_satisfies(kitchen, goal_key):
-        raise UnknownGoalError(
-            f"goal {goal_key!r} is neither produced by any unit nor in the kitchen"
-        )
-
-
 def _file_order(units: Iterable[FunctionalUnit]) -> _Ranked:
     return [(unit, float(unit.source_index)) for unit in units]
 
 
-def retrieve_ids(
-    graph: FoonGraph,
-    goal: ObjectNode,
-    kitchen: Kitchen,
-    config: RetrievalConfig | None = None,
-) -> tuple[TaskTree, RetrievalStats]:
-    """Iterative deepening retrieval.
+def _greedy_order(config: RetrievalConfig) -> _Order:
+    """Candidate ranking for a greedy algorithm; ties go to file order."""
+    if config.algorithm == GBFS_INPUTS:
 
-    Runs exhaustive depth-limited passes with limits 0, 1, ... max_depth,
-    taking producers left to right in file order, and returns the first
-    complete tree, which therefore has the smallest achievable unit-chain
-    depth.  Raises UnknownGoalError for an unknown goal and TaskTreeNotFound
-    when every pass fails.
-    """
-    if config is None:
-        config = RetrievalConfig(algorithm=IDS)
-    goal_key = canonical_node_key(goal)
-    _ensure_known_goal(graph, kitchen, goal_key)
-    stats = RetrievalStats()
-    for limit in range(config.max_depth + 1):
-        steps = _resolve(
-            graph,
-            kitchen,
-            goal_key,
-            cap=limit,
-            order=_file_order,
-            backtrack=True,
-            stats=stats,
+        def by_inputs(units: Iterable[FunctionalUnit]) -> _Ranked:
+            scored = [(u, float(len(u.inputs))) for u in units]
+            return sorted(scored, key=lambda pair: (pair[1], pair[0].source_index))
+
+        return by_inputs
+    profile = config.motion_profile
+    if profile is None:
+        raise MissingMotionRateError(
+            "gbfs-success needs a motion profile to score candidates"
         )
-        if steps is not None:
-            stats.depth_reached = limit
-            return TaskTree(tuple(steps), goal_key, IDS), stats
-    stats.depth_reached = config.max_depth
-    raise TaskTreeNotFound(
-        f"no task tree within depth limit {config.max_depth}"
-        f" after {stats.expanded_units} unit expansions",
-        stats,
-    )
+    strict = config.strict_motions
+
+    def by_success(units: Iterable[FunctionalUnit]) -> _Ranked:
+        scored = [(u, profile.rate_for(u.motion.label, strict)) for u in units]
+        return sorted(scored, key=lambda pair: (-pair[1], pair[0].source_index))
+
+    return by_success
 
 
-def retrieve_gbfs(
+def retrieve(
     graph: FoonGraph,
     goal: ObjectNode,
     kitchen: Kitchen,
     config: RetrievalConfig | None = None,
     trace: list[ChoiceRecord] | None = None,
 ) -> tuple[TaskTree, RetrievalStats]:
-    """Greedy best-first retrieval under either heuristic.
+    """Retrieve one task tree for the goal with ``config.algorithm``.
 
-    ``config.algorithm`` selects the score: gbfs-success takes the candidate
-    with the highest motion success rate (requires a motion profile),
-    gbfs-inputs the one with the fewest input objects; ties break toward the
-    earlier unit in the file.  With ``config.backtrack`` (the default) a
-    failed subtree falls through to the next-best candidate; without it the
-    search commits to its first choice and fails if that choice fails.  Pass
-    ``trace`` to record every choice point for later inspection.
+    ``ids`` (the default) runs exhaustive depth-limited passes with limits
+    0, 1, ... max_depth, taking producers left to right in file order, and
+    returns the first complete tree, which therefore has the smallest
+    achievable unit-chain depth.  The greedy algorithms take the candidate
+    with the highest motion success rate (gbfs-success, which requires a
+    motion profile) or the fewest input objects (gbfs-inputs); ties break
+    toward the earlier unit in the file.  With ``config.backtrack`` (the
+    default) a failed greedy subtree falls through to the next-best
+    candidate; without it the search commits to its first choice.  Pass
+    ``trace`` to record every choice point (for ids, those of every pass,
+    scored by file position).  Raises UnknownGoalError for an unknown goal
+    and TaskTreeNotFound when the search fails.
     """
     if config is None:
-        config = RetrievalConfig(algorithm=GBFS_SUCCESS)
-    if config.algorithm == GBFS_SUCCESS:
-        profile = config.motion_profile
-        if profile is None:
-            raise MissingMotionRateError(
-                "gbfs-success needs a motion profile to score candidates"
-            )
-        strict = config.strict_motions
-
-        def order(units: Iterable[FunctionalUnit]) -> _Ranked:
-            scored = [(u, heuristic_success(u, profile, strict)) for u in units]
-            return sorted(scored, key=lambda pair: (-pair[1], pair[0].source_index))
-
-    elif config.algorithm == GBFS_INPUTS:
-
-        def order(units: Iterable[FunctionalUnit]) -> _Ranked:
-            scored = [(u, float(heuristic_input_count(u))) for u in units]
-            return sorted(scored, key=lambda pair: (pair[1], pair[0].source_index))
-
-    else:
-        raise ValueError(f"not a greedy algorithm: {config.algorithm!r}")
-    goal_key = canonical_node_key(goal)
-    _ensure_known_goal(graph, kitchen, goal_key)
+        config = RetrievalConfig()
+    order = _file_order if config.algorithm == IDS else _greedy_order(config)
+    goal_key = goal.key
+    if goal_key not in graph.producers and goal_key not in kitchen:
+        raise UnknownGoalError(
+            f"goal {goal_key!r} is neither produced by any unit nor in the kitchen"
+        )
     stats = RetrievalStats()
+    if config.algorithm == IDS:
+        for limit in range(config.max_depth + 1):
+            steps = _resolve(
+                graph, kitchen, goal_key, cap=limit, order=order,
+                backtrack=True, stats=stats, trace=trace,
+            )
+            if steps is not None:
+                stats.depth_reached = limit
+                return TaskTree(tuple(steps), goal_key, IDS), stats
+        stats.depth_reached = config.max_depth
+        raise TaskTreeNotFound(
+            f"no task tree within depth limit {config.max_depth}"
+            f" after {stats.expanded_units} unit expansions",
+            stats,
+        )
     steps = _resolve(
-        graph,
-        kitchen,
-        goal_key,
-        cap=float("inf"),
-        order=order,
-        backtrack=config.backtrack,
-        stats=stats,
-        trace=trace,
+        graph, kitchen, goal_key, cap=float("inf"), order=order,
+        backtrack=config.backtrack, stats=stats, trace=trace,
     )
     if steps is None:
         regime = (
@@ -332,18 +285,6 @@ def retrieve_gbfs(
             stats,
         )
     return TaskTree(tuple(steps), goal_key, config.algorithm), stats
-
-
-def retrieve(
-    graph: FoonGraph,
-    goal: ObjectNode,
-    kitchen: Kitchen,
-    config: RetrievalConfig,
-) -> tuple[TaskTree, RetrievalStats]:
-    """Dispatch to the algorithm named by ``config.algorithm``."""
-    if config.algorithm == IDS:
-        return retrieve_ids(graph, goal, kitchen, config)
-    return retrieve_gbfs(graph, goal, kitchen, config)
 
 
 def validate_tree(
@@ -368,7 +309,7 @@ def validate_tree(
             problems.append(f"step {position} duplicates an earlier step")
         seen.add(form)
         for key in dict.fromkeys(step.input_keys()):
-            if not kitchen_satisfies(kitchen, key) and key not in available:
+            if key not in kitchen and key not in available:
                 problems.append(
                     f"step {position} input {key!r} is neither in the kitchen"
                     " nor produced by an earlier step"
@@ -379,7 +320,7 @@ def validate_tree(
             problems.append(
                 f"goal {tree.goal_key!r} is not among the final step's outputs"
             )
-    elif not kitchen_satisfies(kitchen, tree.goal_key):
+    elif tree.goal_key not in kitchen:
         problems.append(
             f"tree is empty but goal {tree.goal_key!r} is not in the kitchen"
         )

@@ -15,7 +15,6 @@ from foon import (
     ObjectNode,
     StateDescriptor,
     build_graph,
-    canonical_node_key,
     parse_foon,
     parse_goal,
     parse_kitchen,
@@ -101,7 +100,7 @@ def random_universe(
     pool_size = rng.randint(3, 12)
     while len(pool) < pool_size:
         node = _random_node(rng)
-        key = canonical_node_key(node)
+        key = node.key
         if key not in seen:
             seen.add(key)
             pool.append(node)

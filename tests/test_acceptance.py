@@ -19,8 +19,6 @@ from foon import (
     enumerate_all_task_trees,
     parse_foon,
     retrieve,
-    retrieve_gbfs,
-    retrieve_ids,
     serialize_foon,
     tree_metrics,
     validate_tree,
@@ -101,7 +99,7 @@ def test_criterion_3_ids_reaches_oracle_minimum_depth():
         best = min(
             tree_metrics(tree, kitchen=kitchen).max_chain_depth for tree in trees
         )
-        found, _ = retrieve_ids(graph, goal, kitchen)
+        found, _ = retrieve(graph, goal, kitchen)
         got = tree_metrics(found, kitchen=kitchen).max_chain_depth
         assert got == best, (index, got, best)
     _report(3, "iterative deepening minimizes chain depth")
@@ -109,7 +107,7 @@ def test_criterion_3_ids_reaches_oracle_minimum_depth():
 
 def test_criterion_4_heuristics_pick_their_preferred_unit():
     universe = load_universe("ice_cup")
-    by_rate, _ = retrieve_gbfs(
+    by_rate, _ = retrieve(
         universe.graph,
         universe.goal,
         universe.kitchen,
@@ -119,7 +117,7 @@ def test_criterion_4_heuristics_pick_their_preferred_unit():
     assert step.motion.label == "scoop"
     assert universe.profile.rate_for(step.motion.label) == 0.9
 
-    by_inputs, _ = retrieve_gbfs(
+    by_inputs, _ = retrieve(
         universe.graph,
         universe.goal,
         universe.kitchen,
@@ -137,7 +135,7 @@ def test_criterion_4_heuristics_pick_their_preferred_unit():
             trace = []
             config = RetrievalConfig(algorithm=algorithm, motion_profile=profile)
             try:
-                retrieve_gbfs(graph, goal, kitchen, config, trace=trace)
+                retrieve(graph, goal, kitchen, config, trace=trace)
             except TaskTreeNotFound:
                 pass
             for record in trace:
@@ -160,7 +158,7 @@ def test_criterion_4_heuristics_pick_their_preferred_unit():
 
 def test_criterion_5_success_product_arithmetic():
     universe = load_universe("cold_water")
-    tree, _ = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
     metrics = tree_metrics(tree, universe.profile, kitchen=universe.kitchen)
     assert metrics.unit_count == 2
     assert abs(metrics.success_product - 0.76) <= 1e-12

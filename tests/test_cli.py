@@ -122,13 +122,13 @@ def test_retrieve_unknown_goal_exits_2(tmp_path, capsys):
     assert "neither produced" in capsys.readouterr().err
 
 
-def test_retrieve_gbfs_success_needs_rates(capsys):
+def test_retrieve_with_gbfs_success_needs_rates(capsys):
     code = main(_retrieve_args("ice_cup", "gbfs-success"))
     assert code == 3
     assert "--motions" in capsys.readouterr().err
 
 
-def test_retrieve_gbfs_success_accepts_default_rate(capsys):
+def test_retrieve_with_gbfs_success_accepts_default_rate(capsys):
     code = main(_retrieve_args("ice_cup", "gbfs-success", default_rate=0.5))
     assert code == 0
     capsys.readouterr()
@@ -193,10 +193,22 @@ def test_retrieve_malformed_universe_exits_2(tmp_path, capsys):
     assert "flag" in capsys.readouterr().err
 
 
-def test_retrieve_bad_max_depth_exits_3(capsys):
-    code = main(_retrieve_args("ice_cup", "ids", max_depth=0))
+@pytest.mark.parametrize("depth", ["0", "-1", "two", "1.5"])
+def test_retrieve_bad_max_depth_exits_3(depth, capsys):
+    code = main(_retrieve_args("ice_cup", "ids", max_depth=depth))
     assert code == 3
-    capsys.readouterr()
+    assert "--max-depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_motions", [False, True])
+@pytest.mark.parametrize("rate", ["2", "-0.5", "nan", "inf", "half"])
+def test_retrieve_bad_default_rate_exits_3(rate, with_motions, capsys):
+    extra = {"default_rate": rate}
+    if with_motions:
+        extra["motions"] = _paths("diamond")["motions"]
+    code = main(_retrieve_args("diamond", "gbfs-success", **extra))
+    assert code == 3
+    assert "--default-rate" in capsys.readouterr().err
 
 
 # --- compare -------------------------------------------------------------------
@@ -234,6 +246,16 @@ def test_compare_handles_not_found(capsys):
     ])
     assert code == 0
     assert "not-found" in capsys.readouterr().out
+
+
+def test_compare_bad_max_depth_exits_3(capsys):
+    p = _paths("ice_cup")
+    code = main([
+        "compare", "--foon", p["foon"], "--kitchen", p["kitchen"],
+        "--goal", p["goal"], "--motions", p["motions"], "--max-depth", "0",
+    ])
+    assert code == 3
+    assert "--max-depth" in capsys.readouterr().err
 
 
 def test_compare_writes_json(tmp_path, capsys):

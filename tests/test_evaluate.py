@@ -17,7 +17,7 @@ from foon import (
     UnknownGoalError,
     compare_algorithms,
     enumerate_all_task_trees,
-    retrieve_ids,
+    retrieve,
     tree_metrics,
 )
 
@@ -39,7 +39,7 @@ def test_empty_tree_metrics_are_exact():
 
 def test_metrics_without_profile_skip_success_fields():
     universe = load_universe("cold_water")
-    tree, _ = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
     metrics = tree_metrics(tree, kitchen=universe.kitchen)
     assert metrics.success_product is None
     assert metrics.success_min is None
@@ -49,7 +49,7 @@ def test_metrics_without_profile_skip_success_fields():
 
 def test_two_step_chain_metrics():
     universe = load_universe("cold_water")
-    tree, _ = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
     metrics = tree_metrics(tree, universe.profile, kitchen=universe.kitchen)
     assert metrics.unit_count == 2
     assert abs(metrics.success_product - 0.95 * 0.8) < 1e-12
@@ -61,7 +61,7 @@ def test_two_step_chain_metrics():
 
 def test_success_product_is_step_order_insensitive():
     universe = load_universe("diamond")
-    tree, _ = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
     shuffled = TaskTree(tuple(reversed(tree.steps)), tree.goal_key)
     forward = tree_metrics(tree, universe.profile, kitchen=universe.kitchen)
     backward = tree_metrics(shuffled, universe.profile, kitchen=universe.kitchen)
@@ -71,7 +71,7 @@ def test_success_product_is_step_order_insensitive():
 
 def test_kitchen_awareness_changes_leaf_accounting():
     universe = load_universe("cold_water")
-    tree, _ = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
     with_kitchen = tree_metrics(tree, kitchen=universe.kitchen)
     without = tree_metrics(tree)
     # Structurally the chain looks the same here, kitchen or not.
@@ -84,7 +84,7 @@ def test_kitchen_available_intermediate_shortens_chain():
     # step's input is a depth-zero leaf even though the pour step (also in
     # the tree) produces the same key.
     universe = load_universe("cold_water")
-    tree, _ = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
     from foon import Kitchen
 
     stocked = Kitchen(
@@ -261,5 +261,5 @@ def test_ids_matches_oracle_minimum_on_fixtures():
         best = min(
             tree_metrics(tree, kitchen=universe.kitchen).max_chain_depth for tree in trees
         )
-        found, _ = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+        found, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
         assert tree_metrics(found, kitchen=universe.kitchen).max_chain_depth == best

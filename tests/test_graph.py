@@ -17,8 +17,6 @@ from foon import (
     StateDescriptor,
     TaskTree,
     build_graph,
-    canonical_node_key,
-    kitchen_satisfies,
     normalize,
 )
 
@@ -66,35 +64,33 @@ def test_object_node_normalizes_and_validates():
 
 def test_canonical_key_examples():
     whole = ObjectNode("onions", frozenset({StateDescriptor("whole")}))
-    assert canonical_node_key(whole) == "onions|whole"
+    assert whole.key == "onions|whole"
     chopped = ObjectNode(
         "onions",
         frozenset({StateDescriptor("chopped"), StateDescriptor("in", container="chopping board")}),
     )
-    assert canonical_node_key(chopped) == "onions|chopped+in[chopping board]"
+    assert chopped.key == "onions|chopped+in[chopping board]"
     cup = ObjectNode("cup", frozenset({StateDescriptor("contains", contents=frozenset({"ice"}))}))
-    assert canonical_node_key(cup) == "cup|contains{ice}"
-    assert canonical_node_key(ObjectNode("chopping board")) == "chopping board|"
+    assert cup.key == "cup|contains{ice}"
+    assert ObjectNode("chopping board").key == "chopping board|"
 
 
 def test_canonical_key_ignores_in_motion_flag():
     states = frozenset({StateDescriptor("whole")})
-    assert canonical_node_key(ObjectNode("onions", states, 0)) == canonical_node_key(
-        ObjectNode("onions", states, 1)
-    )
+    assert ObjectNode("onions", states, 0).key == ObjectNode("onions", states, 1).key
 
 
 def test_canonical_key_ignores_text_presentation():
     left = ObjectNode("Chopping Board", frozenset({StateDescriptor("CLEAN")}))
     right = ObjectNode(" chopping  board ", frozenset({StateDescriptor(" clean ")}))
-    assert canonical_node_key(left) == canonical_node_key(right)
+    assert left.key == right.key
 
 
 @given(st.permutations(["whole", "clean", "warm", "dirty"]))
 def test_canonical_key_is_state_order_invariant(labels):
     states = frozenset(StateDescriptor(label) for label in labels)
     node = ObjectNode("pan", states)
-    assert canonical_node_key(node) == "pan|" + "+".join(sorted(labels))
+    assert node.key == "pan|" + "+".join(sorted(labels))
 
 
 def test_motion_normalizes_label():
@@ -168,10 +164,10 @@ def test_kitchen_matching_is_exact_not_subset():
     kitchen = Kitchen(
         (ObjectNode("cup", frozenset({StateDescriptor("empty"), StateDescriptor("clean")})),)
     )
-    assert kitchen_satisfies(kitchen, "cup|clean+empty")
+    assert "cup|clean+empty" in kitchen
     # A kitchen item with extra states does not satisfy the smaller request.
-    assert not kitchen_satisfies(kitchen, "cup|empty")
-    assert not kitchen_satisfies(kitchen, "cup|")
+    assert "cup|empty" not in kitchen
+    assert "cup|" not in kitchen
 
 
 def test_build_graph_indexes_producers_in_file_order():
@@ -179,16 +175,16 @@ def test_build_graph_indexes_producers_in_file_order():
     producers = graph.producers["cup|contains{ice}"]
     assert [unit.source_index for unit in producers] == [0, 1]
     assert [unit.motion.label for unit in producers] == ["pour", "scoop"]
-    # Inputs that nothing produces appear in the catalog but not in producers.
-    assert "ice|in[tray]" in graph.node_catalog
+    # Inputs that nothing produces appear in the units but not in producers.
+    assert "ice|in[tray]" in {key for unit in graph.units for key in unit.input_keys()}
     assert "ice|in[tray]" not in graph.producers
 
 
 def test_build_graph_catalog_covers_every_key():
     graph = load_universe("diamond").graph
     for unit in graph.units:
-        for key in unit.input_keys() + unit.output_keys():
-            assert key in graph.node_catalog
+        for key in unit.output_keys():
+            assert unit in graph.producers[key]
     for key, units in graph.producers.items():
         for unit in units:
             assert key in unit.output_keys()

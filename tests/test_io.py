@@ -185,7 +185,7 @@ def test_parse_motion_profile_rejects_bad_lines():
 
 def test_parse_kitchen_handles_blocks_and_duplicates():
     kitchen = parse_kitchen(fixture_path("ice_cup", "kitchen").read_text())
-    assert sorted(kitchen.keys()) == ["cup|empty", "ice|in[tray]", "scoop|"]
+    assert sorted(node.key for node in kitchen) == ["cup|empty", "ice|in[tray]", "scoop|"]
     doubled = parse_kitchen("O\tcup\t0\nS\tempty\n\nO\tcup\t1\nS\tempty\n")
     assert len(doubled) == 1
 

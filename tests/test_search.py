@@ -20,12 +20,10 @@ from foon import (
     TaskTreeNotFound,
     UnknownGoalError,
     build_graph,
-    heuristic_input_count,
-    heuristic_success,
+    enumerate_all_task_trees,
     retrieve,
-    retrieve_gbfs,
-    retrieve_ids,
     serialize_foon,
+    tree_metrics,
     validate_tree,
 )
 
@@ -74,7 +72,7 @@ def test_unknown_goal_raises_before_searching():
 
 def test_ids_takes_first_producer_in_file_order():
     universe = load_universe("ice_cup")
-    tree, _ = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
     assert _motions(tree) == ["pour"]
     assert tree.steps[0].source_index == 0
     assert tree.algorithm_tag == IDS
@@ -82,7 +80,7 @@ def test_ids_takes_first_producer_in_file_order():
 
 def test_ids_finds_two_step_chain_at_depth_two():
     universe = load_universe("cold_water")
-    tree, stats = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, stats = retrieve(universe.graph, universe.goal, universe.kitchen)
     assert _motions(tree) == ["pour", "chill"]
     assert stats.depth_reached == 2
     ok, problems = validate_tree(tree, universe.graph, universe.kitchen)
@@ -93,7 +91,7 @@ def test_ids_respects_max_depth():
     universe = load_universe("cold_water")
     config = _config(universe, IDS, max_depth=1)
     with pytest.raises(TaskTreeNotFound) as caught:
-        retrieve_ids(universe.graph, universe.goal, universe.kitchen, config)
+        retrieve(universe.graph, universe.goal, universe.kitchen, config)
     assert caught.value.stats.depth_reached == 1
 
 
@@ -102,7 +100,7 @@ def test_ids_returns_minimum_chain_depth_on_diamond():
     # (depth 3), one starts from the syrup (depth 2).  Deepening must find
     # the shallow route even though file order favors the other.
     universe = load_universe("diamond")
-    tree, stats = retrieve_ids(universe.graph, universe.goal, universe.kitchen)
+    tree, stats = retrieve(universe.graph, universe.goal, universe.kitchen)
     assert _motions(tree) == ["grind", "blend", "combine"]
     assert stats.depth_reached == 2
 
@@ -110,7 +108,7 @@ def test_ids_returns_minimum_chain_depth_on_diamond():
 def test_shared_subgoal_resolves_once():
     universe = load_universe("diamond")
     config = _config(universe, GBFS_SUCCESS)
-    tree, _ = retrieve_gbfs(universe.graph, universe.goal, universe.kitchen, config)
+    tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen, config)
     # The ground almonds feed both the paste and the final combine; the
     # grind unit must appear exactly once.
     assert _motions(tree) == ["grind", "mix", "combine"]
@@ -143,7 +141,7 @@ def test_multi_output_unit_is_placed_once():
 
 def test_gbfs_success_prefers_higher_rate():
     universe = load_universe("ice_cup")
-    tree, _ = retrieve_gbfs(
+    tree, _ = retrieve(
         universe.graph, universe.goal, universe.kitchen, _config(universe, GBFS_SUCCESS)
     )
     assert _motions(tree) == ["scoop"]
@@ -152,7 +150,7 @@ def test_gbfs_success_prefers_higher_rate():
 
 def test_gbfs_inputs_prefers_fewer_inputs():
     universe = load_universe("ice_cup")
-    tree, _ = retrieve_gbfs(
+    tree, _ = retrieve(
         universe.graph, universe.goal, universe.kitchen, _config(universe, GBFS_INPUTS)
     )
     assert _motions(tree) == ["pour"]
@@ -164,7 +162,7 @@ def test_gbfs_ties_break_toward_earlier_unit():
     # rate, and on input count the tie falls back to file order (mix first).
     universe = load_universe("diamond")
     for algorithm in (GBFS_SUCCESS, GBFS_INPUTS):
-        tree, _ = retrieve_gbfs(
+        tree, _ = retrieve(
             universe.graph, universe.goal, universe.kitchen, _config(universe, algorithm)
         )
         assert "mix" in _motions(tree)
@@ -173,7 +171,7 @@ def test_gbfs_ties_break_toward_earlier_unit():
 def test_gbfs_backtracks_past_dead_end():
     universe = load_universe("dead_end")
     for algorithm in (GBFS_SUCCESS, GBFS_INPUTS):
-        tree, _ = retrieve_gbfs(
+        tree, _ = retrieve(
             universe.graph, universe.goal, universe.kitchen, _config(universe, algorithm)
         )
         assert _motions(tree) == ["brew"]
@@ -183,7 +181,7 @@ def test_gbfs_without_backtracking_commits_and_fails():
     universe = load_universe("dead_end")
     config = _config(universe, GBFS_SUCCESS, backtrack=False)
     with pytest.raises(TaskTreeNotFound) as caught:
-        retrieve_gbfs(universe.graph, universe.goal, universe.kitchen, config)
+        retrieve(universe.graph, universe.goal, universe.kitchen, config)
     assert "backtracking disabled" in str(caught.value)
 
 
@@ -191,13 +189,13 @@ def test_gbfs_success_requires_a_profile():
     universe = load_universe("ice_cup")
     config = RetrievalConfig(algorithm=GBFS_SUCCESS, motion_profile=None)
     with pytest.raises(MissingMotionRateError):
-        retrieve_gbfs(universe.graph, universe.goal, universe.kitchen, config)
+        retrieve(universe.graph, universe.goal, universe.kitchen, config)
 
 
 def test_gbfs_trace_records_ranked_choice_points():
     universe = load_universe("ice_cup")
     trace = []
-    retrieve_gbfs(
+    retrieve(
         universe.graph,
         universe.goal,
         universe.kitchen,
@@ -212,27 +210,27 @@ def test_gbfs_trace_records_ranked_choice_points():
     assert record.accepted == 0
 
 
-# --- heuristics ------------------------------------------------------------
+# --- candidate scores --------------------------------------------------------
 
 
-def test_heuristic_success_reads_profile():
+def test_success_score_reads_profile():
     universe = load_universe("ice_cup")
     pour, scoop = universe.graph.units
-    assert heuristic_success(pour, universe.profile) == 0.6
-    assert heuristic_success(scoop, universe.profile) == 0.9
+    assert universe.profile.rate_for(pour.motion.label) == 0.6
+    assert universe.profile.rate_for(scoop.motion.label) == 0.9
     fallback = MotionProfile({}, default_rate=0.25)
-    assert heuristic_success(pour, fallback) == 0.25
+    assert fallback.rate_for(pour.motion.label) == 0.25
     with pytest.raises(MissingMotionRateError):
-        heuristic_success(pour, fallback, strict=True)
+        fallback.rate_for(pour.motion.label, strict=True)
 
 
-def test_heuristic_input_count_counts_nodes():
+def test_input_count_score_counts_nodes():
     universe = load_universe("ice_cup")
     pour, scoop = universe.graph.units
-    assert heuristic_input_count(pour) == 2
-    assert heuristic_input_count(scoop) == 3
+    assert len(pour.inputs) == 2
+    assert len(scoop.inputs) == 3
     chop = load_universe("chop_onion").graph.units[0]
-    assert heuristic_input_count(chop) == 3
+    assert len(chop.inputs) == 3
 
 
 # --- failure and termination -----------------------------------------------
@@ -255,6 +253,59 @@ def test_cycles_terminate(length):
         config = RetrievalConfig(algorithm=algorithm, motion_profile=profile)
         with pytest.raises(TaskTreeNotFound):
             retrieve(graph, goal, kitchen, config)
+
+
+# --- known defects (remove a marker once its defect is fixed) ---------------
+
+
+def _plain_unit(inputs, motion, output, index):
+    return FunctionalUnit(
+        tuple(ObjectNode(name) for name in inputs), Motion(motion), (ObjectNode(output),), index
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="D1: a shared subgoal keeps the deeper producer an earlier sibling chose",
+)
+def test_ids_is_depth_minimal_when_a_shared_subgoal_has_a_shallower_producer():
+    units = [
+        _plain_unit(("a", "b"), "g", "goal", 0),
+        _plain_unit(("p",), "a1", "a", 1),
+        _plain_unit(("k",), "a2", "a", 2),
+        _plain_unit(("k",), "p1", "p", 3),
+        _plain_unit(("a",), "b1", "b", 4),
+    ]
+    graph, kitchen, goal = build_graph(units), Kitchen((ObjectNode("k"),)), ObjectNode("goal")
+    trees = enumerate_all_task_trees(graph, goal, kitchen)
+    assert min(tree_metrics(t, kitchen=kitchen).max_chain_depth for t in trees) == 3
+    tree, _ = retrieve(graph, goal, kitchen)
+    assert tree_metrics(tree, kitchen=kitchen).max_chain_depth == 3  # ids gives 4
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="D2: the recursive resolver overflows the stack on a 600-unit chain",
+)
+def test_deep_chain_resolves_for_every_algorithm():
+    nodes = [ObjectNode(f"n{i}") for i in range(601)]
+    units = [
+        FunctionalUnit((nodes[i],), Motion("step"), (nodes[i + 1],), i) for i in range(600)
+    ]
+    graph, kitchen = build_graph(units), Kitchen((nodes[0],))
+    for algorithm in (GBFS_SUCCESS, GBFS_INPUTS, IDS):
+        config = RetrievalConfig(
+            algorithm=algorithm,
+            max_depth=600,
+            motion_profile=MotionProfile({"step": 0.5}),
+        )
+        try:
+            tree, _ = retrieve(graph, nodes[-1], kitchen, config)
+        except RecursionError as overflow:
+            # Drop the thousand-frame traceback, which pytest takes seconds to render.
+            raise RecursionError(f"{algorithm}: {overflow}") from None
+        assert len(tree.steps) == 600
 
 
 # --- validate_tree ---------------------------------------------------------
