@@ -8,8 +8,8 @@ Conventions: products of a run (task tree text, DOT, JSON, the comparison
 table) go to stdout or to files named by flags and are byte-identical across
 runs on the same inputs; status and diagnostics go to stderr.  Wall-clock
 timings are only emitted under ``--timings``.  Exit codes: 0 success, 1 no
-task tree found, 2 unreadable or invalid input (including an unknown goal),
-3 usage error.
+task tree found, 2 unreadable or invalid input (including an unknown goal
+and a universe whose chains are too deep for the resolver), 3 usage error.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     retrieve_cmd.add_argument(
         "--strict-motions",
         action="store_true",
-        help="fail on motions missing from the profile instead of defaulting",
+        help="fail on motions missing from the profile; ignores --default-rate",
     )
     retrieve_cmd.add_argument(
         "--no-backtrack",
@@ -207,16 +207,16 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     graph = _load_graph(args.foon)
     kitchen = parse_kitchen(_read_text(args.kitchen))
     goal = parse_goal(_read_text(args.goal))
+    default_rate = None if args.strict_motions else args.default_rate
     profile = None
     if args.motions is not None:
-        profile = parse_motion_profile(_read_text(args.motions), args.default_rate)
+        profile = parse_motion_profile(_read_text(args.motions), default_rate)
     elif args.default_rate is not None:
-        profile = MotionProfile({}, args.default_rate)
+        profile = MotionProfile({}, default_rate)
     config = RetrievalConfig(
         algorithm=args.algorithm,
         max_depth=args.max_depth,
         motion_profile=profile,
-        strict_motions=args.strict_motions,
         backtrack=not args.no_backtrack,
     )
     tree, stats = retrieve(graph, goal, kitchen, config)
@@ -228,7 +228,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     if args.dot:
         Path(args.dot).write_text(export_dot(tree), encoding="utf-8")
     if args.json:
-        metrics = tree_metrics(tree, profile, kitchen=kitchen, strict=args.strict_motions)
+        metrics = tree_metrics(tree, profile, kitchen=kitchen)
         _write_json(
             args.json,
             {
@@ -287,6 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         MissingMotionRateError,
         OSError,
         UnicodeDecodeError,
+        RecursionError,
     ) as problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT

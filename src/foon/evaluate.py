@@ -55,16 +55,17 @@ def tree_metrics(
     tree: TaskTree,
     profile: MotionProfile | None = None,
     *,
-    kitchen: Kitchen | None = None,
-    strict: bool = False,
+    kitchen: Kitchen,
 ) -> TreeMetrics:
-    """Compute TreeMetrics for a task tree.
+    """Compute TreeMetrics for a task tree retrieved from ``kitchen``.
 
-    When ``kitchen`` is given, kitchen-satisfied inputs count as depth-zero
-    leaves exactly as the retrieval algorithms treat them, even if some step
-    also produces the same key; without it, an input is a leaf when no
-    earlier step produces it.  Chain depths follow the cheapest available
-    source for each key, matching the search's depth bookkeeping.
+    Kitchen-satisfied inputs count as depth-zero leaves exactly as the
+    retrieval algorithms treat them, even if some step also produces the
+    same key; any other input is a leaf when no earlier step produces it.
+    Chain depths follow the cheapest available source for each key,
+    matching the search's depth bookkeeping.  A motion missing from
+    ``profile`` raises MissingMotionRateError unless the profile has a
+    default rate.
     """
     product: float | None = None
     minimum: float | None = None
@@ -72,7 +73,7 @@ def tree_metrics(
         product = 1.0
         minimum = 1.0
         for step in tree.steps:
-            rate = profile.rate_for(step.motion.label, strict=strict)
+            rate = profile.rate_for(step.motion.label)
             product *= rate
             minimum = min(minimum, rate)
     produced: dict[str, int] = {}  # key -> shallowest earlier producer depth
@@ -81,7 +82,7 @@ def tree_metrics(
     for step in tree.steps:
         deepest_input = 0
         for key in step.input_keys():
-            if kitchen is not None and key in kitchen:
+            if key in kitchen:
                 leaves.add(key)
                 contribution = 0
             elif key in produced:
@@ -288,8 +289,6 @@ def compare_algorithms(
     profile: MotionProfile,
     *,
     max_depth: int = 50,
-    strict_motions: bool = False,
-    backtrack: bool = True,
     fixture: str = "",
 ) -> ComparisonReport:
     """Run every retrieval algorithm on one problem and collect the results.
@@ -305,8 +304,6 @@ def compare_algorithms(
             algorithm=algorithm,
             max_depth=max_depth,
             motion_profile=profile,
-            strict_motions=strict_motions,
-            backtrack=backtrack,
         )
         started = time.perf_counter()
         try:
@@ -316,6 +313,6 @@ def compare_algorithms(
             runs[algorithm] = AlgorithmRun("not-found", None, None, miss.stats, wall_ms)
         else:
             wall_ms = (time.perf_counter() - started) * 1000.0
-            metrics = tree_metrics(tree, profile, kitchen=kitchen, strict=strict_motions)
+            metrics = tree_metrics(tree, profile, kitchen=kitchen)
             runs[algorithm] = AlgorithmRun("found", tree, metrics, stats, wall_ms)
     return ComparisonReport(goal_key=goal_key, fixture=fixture, runs=runs)

@@ -194,21 +194,19 @@ class MotionProfile:
                 raise ValueError(f"default rate outside [0, 1]: {self.default_rate}")
             self.default_rate = fallback
 
-    def rate_for(self, label: str, strict: bool = False) -> float:
-        """Success rate for a motion label.
+    def rate_for(self, label: str) -> float:
+        """Success rate for a motion label, else ``default_rate``.
 
-        In strict mode the label must be present; otherwise ``default_rate``
-        backs missing labels.  Raises MissingMotionRateError when neither
-        applies.
+        Raises MissingMotionRateError when the label is missing and the
+        profile has no default rate.
         """
         key = normalize(label)
         if key in self.rates:
             return self.rates[key]
-        if not strict and self.default_rate is not None:
+        if self.default_rate is not None:
             return self.default_rate
         raise MissingMotionRateError(
-            f"no success rate for motion {key!r}"
-            + (" (strict mode ignores the default rate)" if strict else " and no default rate given")
+            f"no success rate for motion {key!r} and no default rate given"
         )
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .graph import (
-    FoonGraph,
     FunctionalUnit,
     Kitchen,
     Motion,
@@ -340,20 +339,13 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(source: FoonGraph | TaskTree, goal_key: str | None = None) -> str:
-    """Render a graph or task tree as a Graphviz digraph.
+def export_dot(tree: TaskTree) -> str:
+    """Render a task tree as a Graphviz digraph.
 
-    Object nodes are green ellipses labelled "name / states"; each unit gets
-    one red motion box; edges run input -> motion -> output.  The goal node
-    is purple: when ``goal_key`` is omitted a TaskTree's own goal is used.
-    Output is deterministic for a given input.
+    Object nodes are green ellipses labelled "name / states"; each step gets
+    one red motion box; edges run input -> motion -> output.  The tree's
+    goal node is purple.  Output is deterministic for a given tree.
     """
-    if isinstance(source, TaskTree):
-        units: tuple[FunctionalUnit, ...] = source.steps
-        if goal_key is None:
-            goal_key = source.goal_key
-    else:
-        units = source.units
     out = ["digraph foon {", "  rankdir=LR;"]
     ids: dict[str, str] = {}
 
@@ -365,7 +357,7 @@ def export_dot(source: FoonGraph | TaskTree, goal_key: str | None = None) -> str
             states = node.sorted_states()
             if states:
                 parts.append(_dot_escape(", ".join(s.display() for s in states)))
-            color = "mediumpurple" if key == goal_key else "palegreen"
+            color = "mediumpurple" if key == tree.goal_key else "palegreen"
             label = "\\n".join(parts)
             out.append(
                 f'  {ids[key]} [label="{label}", shape=ellipse,'
@@ -373,7 +365,7 @@ def export_dot(source: FoonGraph | TaskTree, goal_key: str | None = None) -> str
             )
         return ids[key]
 
-    for index, unit in enumerate(units):
+    for index, unit in enumerate(tree.steps):
         motion_id = f"m{index}"
         out.append(
             f'  {motion_id} [label="{_dot_escape(unit.motion.label)}", shape=box,'

@@ -45,15 +45,15 @@ _Order = Callable[[Iterable[FunctionalUnit]], _Ranked]
 class RetrievalConfig:
     """Knobs for ``retrieve``.
 
-    ``max_depth`` caps iterative deepening only.  ``motion_profile`` and
-    ``strict_motions`` matter only to gbfs-success, and ``backtrack`` only
-    to the greedy algorithms.
+    ``max_depth`` caps iterative deepening only.  ``motion_profile`` matters
+    only to gbfs-success: a profile without a default rate makes a motion
+    missing from it an error.  ``backtrack`` matters only to the greedy
+    algorithms.
     """
 
     algorithm: str = IDS
     max_depth: int = 50
     motion_profile: MotionProfile | None = None
-    strict_motions: bool = False
     backtrack: bool = True
 
     def __post_init__(self) -> None:
@@ -68,8 +68,10 @@ class RetrievalStats:
     """Work counters for one retrieval call.
 
     ``expanded_units``: candidate unit expansions attempted (across every
-    deepening pass, for IDS).  ``peak_open_set``: most subgoal resolutions
-    simultaneously in flight; at least 1 whenever a search ran.
+    deepening pass, for IDS).  ``peak_open_set``: 1 + the deepest subgoal
+    request, which is the most subgoal resolutions simultaneously in flight
+    (a request and its ancestors, one per depth); at least 1 whenever a
+    search ran.
     ``depth_reached``: for IDS the depth limit in force when the search
     ended; for greedy search the deepest subgoal request seen.
     """
@@ -120,7 +122,6 @@ def _resolve(
     placed: dict[FunctionalUnit, int] = {}  # unit -> chain depth when placed
     journal: list[tuple[str, object]] = []  # undo log for resolved/placed
     path: set[str] = set()  # keys currently being expanded
-    open_subgoals = 0
 
     def rollback(steps_mark: int, journal_mark: int) -> None:
         del steps[steps_mark:]
@@ -132,55 +133,49 @@ def _resolve(
                 del placed[value]  # type: ignore[index]
 
     def resolve_key(key: str, depth: int) -> int | None:
-        nonlocal open_subgoals
-        open_subgoals += 1
-        stats.peak_open_set = max(stats.peak_open_set, open_subgoals)
-        stats.depth_reached = max(stats.depth_reached, depth)
-        try:
-            if key in kitchen:
-                return 0
-            if key in path:
-                return None
-            cached = resolved.get(key)
-            if cached is not None:
-                return cached if depth + cached <= cap else None
-            if depth >= cap:
-                return None
-            candidates = order(producers.get(key, ()))
-            accepted: int | None = None
-            outcome: int | None = None
-            for index, (unit, _score) in enumerate(candidates):
-                if index > 0 and not backtrack:
-                    break
-                reused = placed.get(unit)
-                if reused is not None:
-                    if depth + reused <= cap:
-                        resolved[key] = reused
-                        journal.append(("key", key))
-                        accepted, outcome = index, reused
-                        break
-                    continue
-                stats.expanded_units += 1
-                steps_mark, journal_mark = len(steps), len(journal)
-                path.add(key)
-                below = resolve_inputs(unit.input_keys(), depth + 1)
-                path.discard(key)
-                if below is None:
-                    rollback(steps_mark, journal_mark)
-                    continue
-                chain = below + 1
-                steps.append(unit)
-                placed[unit] = chain
-                journal.append(("unit", unit))
-                resolved[key] = chain
-                journal.append(("key", key))
-                accepted, outcome = index, chain
+        stats.peak_open_set = max(stats.peak_open_set, depth + 1)
+        if key in kitchen:
+            return 0
+        if key in path:
+            return None
+        cached = resolved.get(key)
+        if cached is not None:
+            return cached if depth + cached <= cap else None
+        if depth >= cap:
+            return None
+        candidates = order(producers.get(key, ()))
+        accepted: int | None = None
+        outcome: int | None = None
+        for index, (unit, _score) in enumerate(candidates):
+            if index > 0 and not backtrack:
                 break
-            if trace is not None and candidates:
-                trace.append(ChoiceRecord(key, tuple(candidates), accepted))
-            return outcome
-        finally:
-            open_subgoals -= 1
+            reused = placed.get(unit)
+            if reused is not None:
+                if depth + reused <= cap:
+                    resolved[key] = reused
+                    journal.append(("key", key))
+                    accepted, outcome = index, reused
+                    break
+                continue
+            stats.expanded_units += 1
+            steps_mark, journal_mark = len(steps), len(journal)
+            path.add(key)
+            below = resolve_inputs(unit.input_keys(), depth + 1)
+            path.discard(key)
+            if below is None:
+                rollback(steps_mark, journal_mark)
+                continue
+            chain = below + 1
+            steps.append(unit)
+            placed[unit] = chain
+            journal.append(("unit", unit))
+            resolved[key] = chain
+            journal.append(("key", key))
+            accepted, outcome = index, chain
+            break
+        if trace is not None and candidates:
+            trace.append(ChoiceRecord(key, tuple(candidates), accepted))
+        return outcome
 
     def resolve_inputs(keys: tuple[str, ...], depth: int) -> int | None:
         deepest = 0
@@ -214,10 +209,9 @@ def _greedy_order(config: RetrievalConfig) -> _Order:
         raise MissingMotionRateError(
             "gbfs-success needs a motion profile to score candidates"
         )
-    strict = config.strict_motions
 
     def by_success(units: Iterable[FunctionalUnit]) -> _Ranked:
-        scored = [(u, profile.rate_for(u.motion.label, strict)) for u in units]
+        scored = [(u, profile.rate_for(u.motion.label)) for u in units]
         return sorted(scored, key=lambda pair: (-pair[1], pair[0].source_index))
 
     return by_success
@@ -273,6 +267,7 @@ def retrieve(
         graph, kitchen, goal_key, cap=float("inf"), order=order,
         backtrack=config.backtrack, stats=stats, trace=trace,
     )
+    stats.depth_reached = stats.peak_open_set - 1
     if steps is None:
         regime = (
             "every candidate ordering"

@@ -13,6 +13,7 @@ from foon import (
     ALGORITHMS,
     GBFS_INPUTS,
     GBFS_SUCCESS,
+    Kitchen,
     RetrievalConfig,
     TaskTree,
     TaskTreeNotFound,
@@ -163,7 +164,7 @@ def test_criterion_5_success_product_arithmetic():
     assert metrics.unit_count == 2
     assert abs(metrics.success_product - 0.76) <= 1e-12
 
-    empty = tree_metrics(TaskTree((), "water|in[bottle]"), universe.profile)
+    empty = tree_metrics(TaskTree((), "water|in[bottle]"), universe.profile, kitchen=Kitchen())
     assert empty.success_product == 1.0
     assert empty.success_min == 1.0
     _report(5, "success products are exact")

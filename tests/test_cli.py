@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from foon import parse_foon, serialize_foon
+from foon import FunctionalUnit, Motion, ObjectNode, parse_foon, serialize_foon
 from foon.cli import main
 
 from helpers import fixture_path, load_universe
@@ -151,6 +151,49 @@ def test_retrieve_strict_motions_fails_on_gap(tmp_path, capsys):
     )
     assert code == 2
     assert "no success rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("algorithm", ["gbfs-success", "ids"])
+def test_strict_motions_ignores_default_rate(algorithm, strict, tmp_path, capsys):
+    # gbfs-success rates pour to rank it; ids rates it for the --json metrics.
+    rates = tmp_path / "rates.txt"
+    rates.write_text("scoop\t0.9\n")  # no rate for pour
+    flags = {
+        "motions": rates,
+        "default_rate": 0.5,
+        "out": tmp_path / "tree.txt",
+        "json": tmp_path / "metrics.json",
+    }
+    if strict:
+        flags["strict_motions"] = True
+    assert main(_retrieve_args("ice_cup", algorithm, **flags)) == (2 if strict else 0)
+    err = capsys.readouterr().err
+    assert ("no success rate for motion 'pour'" in err) == strict
+
+
+@pytest.mark.parametrize("command", ["retrieve", "compare"])
+def test_chain_too_deep_for_the_resolver_exits_2(command, tmp_path, capsys):
+    nodes = [ObjectNode(f"n{i}") for i in range(601)]
+    units = [FunctionalUnit((nodes[i],), Motion("step"), (nodes[i + 1],)) for i in range(600)]
+    files = {
+        "foon": serialize_foon(units),
+        "kitchen": "O\tn0\t0\n",
+        "goal": "O\tn600\t0\n",
+        "motions": "step\t0.5\n",
+    }
+    args = [command]
+    for kind, text in files.items():
+        path = tmp_path / f"chain.{kind}.txt"
+        path.write_text(text)
+        args += [f"--{kind}", str(path)]
+    if command == "retrieve":
+        args += ["--algorithm", "gbfs-inputs"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_retrieve_no_backtrack_gives_up(capsys):

@@ -9,6 +9,7 @@ from foon import (
     GBFS_INPUTS,
     GBFS_SUCCESS,
     IDS,
+    Kitchen,
     MotionProfile,
     ObjectNode,
     OracleCapExceededError,
@@ -29,7 +30,7 @@ from helpers import load_universe, random_universe
 
 def test_empty_tree_metrics_are_exact():
     profile = MotionProfile({"chop": 0.5})
-    metrics = tree_metrics(TaskTree((), "cup|empty"), profile)
+    metrics = tree_metrics(TaskTree((), "cup|empty"), profile, kitchen=Kitchen())
     assert metrics.unit_count == 0
     assert metrics.success_product == 1.0
     assert metrics.success_min == 1.0
@@ -73,10 +74,8 @@ def test_kitchen_awareness_changes_leaf_accounting():
     universe = load_universe("cold_water")
     tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
     with_kitchen = tree_metrics(tree, kitchen=universe.kitchen)
-    without = tree_metrics(tree)
-    # Structurally the chain looks the same here, kitchen or not.
-    assert with_kitchen.max_chain_depth == without.max_chain_depth == 2
-    assert with_kitchen.leaf_count == without.leaf_count == 2
+    assert with_kitchen.max_chain_depth == 2
+    assert with_kitchen.leaf_count == 2
 
 
 def test_kitchen_available_intermediate_shortens_chain():
@@ -85,8 +84,6 @@ def test_kitchen_available_intermediate_shortens_chain():
     # the tree) produces the same key.
     universe = load_universe("cold_water")
     tree, _ = retrieve(universe.graph, universe.goal, universe.kitchen)
-    from foon import Kitchen
-
     stocked = Kitchen(
         universe.kitchen.items
         + (

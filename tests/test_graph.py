@@ -132,8 +132,10 @@ def test_motion_profile_lookup_paths():
     assert profile.rate_for("chop") == 0.8
     assert profile.rate_for("CHOP") == 0.8
     assert profile.rate_for("pour") == 0.5
+    strict = MotionProfile(profile.rates)  # no default rate
+    assert strict.rate_for("chop") == 0.8
     with pytest.raises(MissingMotionRateError):
-        profile.rate_for("pour", strict=True)
+        strict.rate_for("pour")
     with pytest.raises(MissingMotionRateError):
         MotionProfile({"chop": 0.8}).rate_for("pour")
 

@@ -12,6 +12,7 @@ from foon import (
     ObjectNode,
     ParseError,
     StateDescriptor,
+    TaskTree,
     export_dot,
     normalize,
     parse_foon,
@@ -207,7 +208,7 @@ def test_parse_goal_requires_exactly_one_block():
 
 def test_export_dot_declares_nodes_edges_and_goal_color():
     universe = load_universe("chop_onion")
-    dot = export_dot(universe.graph, goal_key="onions|chopped+in[chopping board]")
+    dot = export_dot(TaskTree(universe.graph.units, "onions|chopped+in[chopping board]"))
     assert dot.startswith("digraph foon {")
     assert dot.endswith("}\n")
     assert dot.count("shape=ellipse") == 6
@@ -219,7 +220,7 @@ def test_export_dot_declares_nodes_edges_and_goal_color():
 
 def test_export_dot_shares_nodes_across_units():
     universe = load_universe("cold_water")
-    dot = export_dot(universe.graph)
+    dot = export_dot(TaskTree(universe.graph.units, universe.goal.key))
     # cup|contains{water} chains between the two units: declared once.
     assert dot.count("shape=ellipse") == 4
     assert dot.count("shape=box") == 2
@@ -241,9 +242,7 @@ def test_export_dot_escapes_quotes():
     unit = FunctionalUnit(
         (ObjectNode('ja"r'),), Motion("mix"), (ObjectNode("bowl"),)
     )
-    from foon import build_graph
-
-    dot = export_dot(build_graph([unit]))
+    dot = export_dot(TaskTree((unit,), "bowl|"))
     assert 'ja\\"r' in dot
 
 
