@@ -197,17 +197,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    if args.algorithm == GBFS_SUCCESS and args.motions is None and args.default_rate is None:
+    default_rate = None if args.strict_motions else args.default_rate
+    if args.algorithm == GBFS_SUCCESS and args.motions is None and default_rate is None:
+        ignored = ""
+        if args.default_rate is not None:
+            ignored = " (--strict-motions ignores --default-rate)"
         print(
             "foon retrieve: error: --algorithm gbfs-success requires --motions"
-            " or --default-rate",
+            f" or --default-rate{ignored}",
             file=sys.stderr,
         )
         return EXIT_USAGE
     graph = _load_graph(args.foon)
     kitchen = parse_kitchen(_read_text(args.kitchen))
     goal = parse_goal(_read_text(args.goal))
-    default_rate = None if args.strict_motions else args.default_rate
     profile = None
     if args.motions is not None:
         profile = parse_motion_profile(_read_text(args.motions), default_rate)

@@ -135,12 +135,18 @@ def _node_lines(node: ObjectNode) -> list[str]:
 
 @dataclass(frozen=True)
 class FunctionalUnit:
-    """Input object nodes, one motion, output object nodes."""
+    """Input object nodes, one motion, output object nodes.
+
+    The input and output node keys are stored once on construction, like
+    ``ObjectNode.key``; they take no part in equality or hashing.
+    """
 
     inputs: tuple[ObjectNode, ...]
     motion: Motion
     outputs: tuple[ObjectNode, ...]
     source_index: int = 0
+    _input_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _output_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -149,12 +155,14 @@ class FunctionalUnit:
             raise ValueError("a functional unit needs at least one input object")
         if not self.outputs:
             raise ValueError("a functional unit needs at least one output object")
+        object.__setattr__(self, "_input_keys", tuple(node.key for node in self.inputs))
+        object.__setattr__(self, "_output_keys", tuple(node.key for node in self.outputs))
 
     def input_keys(self) -> tuple[str, ...]:
-        return tuple(node.key for node in self.inputs)
+        return self._input_keys
 
     def output_keys(self) -> tuple[str, ...]:
-        return tuple(node.key for node in self.outputs)
+        return self._output_keys
 
     def to_text(self) -> str:
         """Canonical tab-delimited block (ends with a newline, no separator).

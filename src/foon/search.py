@@ -21,12 +21,21 @@ one more than the deepest of its input resolutions.  Reusing a previously
 resolved key (or placed unit) at request depth ``d`` is allowed only while
 ``d`` plus its stored chain depth stays within the limit, and failed
 attempts roll back their placements, so a depth-limited pass is exhaustive.
+The limit refuses a request in exactly three places: a new subgoal at
+``depth >= limit``, a resolved key with ``depth + cached > limit`` and a
+placed unit with ``depth + reused > limit``.  A failed pass in which none of
+them refused anything ends the deepening: every check that passed under
+limit ``c`` passes under ``c + 1`` as well, so each deeper pass would make
+the same decisions and fail the same way.
+
+The search keys its per-pass maps by strings and unit identity, never by a
+unit's dataclass hash, and ranks each key's producers once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import FoonError, MissingMotionRateError, UnknownGoalError
 from .graph import FoonGraph, FunctionalUnit, Kitchen, ObjectNode, TaskTree
@@ -37,7 +46,7 @@ GBFS_INPUTS = "gbfs-inputs"
 ALGORITHMS = (IDS, GBFS_SUCCESS, GBFS_INPUTS)
 
 # Candidate lists carry (unit, score) pairs so greedy traces can be replayed.
-_Ranked = Sequence[tuple[FunctionalUnit, float]]
+_Ranked = tuple[tuple[FunctionalUnit, float], ...]
 _Order = Callable[[Iterable[FunctionalUnit]], _Ranked]
 
 
@@ -73,7 +82,9 @@ class RetrievalStats:
     (a request and its ancestors, one per depth); at least 1 whenever a
     search ran.
     ``depth_reached``: for IDS the depth limit in force when the search
-    ended; for greedy search the deepest subgoal request seen.
+    ended, which is the limit of the last pass run (deepening stops early
+    once a failed pass was not cut short by its limit); for greedy search
+    the deepest subgoal request seen.
     """
 
     expanded_units: int = 0
@@ -91,7 +102,7 @@ class ChoiceRecord:
     """
 
     key: str
-    candidates: tuple[tuple[FunctionalUnit, float], ...]
+    candidates: _Ranked
     accepted: int | None
 
 
@@ -111,51 +122,64 @@ def _resolve(
     *,
     cap: float,
     order: _Order,
+    ranked: dict[str, _Ranked],
     backtrack: bool,
     stats: RetrievalStats,
     trace: list[ChoiceRecord] | None = None,
-) -> list[FunctionalUnit] | None:
-    """One depth-capped backward search; returns ordered steps or None."""
+) -> tuple[list[FunctionalUnit] | None, bool]:
+    """One depth-capped backward search.
+
+    Returns the ordered steps (None when the search failed) and whether the
+    cap refused any request.  ``ranked`` memoizes ``order`` per key and may
+    be shared by every pass of one retrieval.
+    """
     producers = graph.producers
     steps: list[FunctionalUnit] = []
     resolved: dict[str, int] = {}  # key -> chain depth of its resolution
-    placed: dict[FunctionalUnit, int] = {}  # unit -> chain depth when placed
-    journal: list[tuple[str, object]] = []  # undo log for resolved/placed
+    placed: dict[int, int] = {}  # id(unit) -> chain depth when placed
+    journal: list[tuple[dict, object]] = []  # undo log: (map, entry) pairs
     path: set[str] = set()  # keys currently being expanded
+    cut = False  # whether the cap refused a request
 
     def rollback(steps_mark: int, journal_mark: int) -> None:
         del steps[steps_mark:]
         while len(journal) > journal_mark:
-            kind, value = journal.pop()
-            if kind == "key":
-                del resolved[value]  # type: ignore[index]
-            else:
-                del placed[value]  # type: ignore[index]
+            table, entry = journal.pop()
+            del table[entry]
 
     def resolve_key(key: str, depth: int) -> int | None:
-        stats.peak_open_set = max(stats.peak_open_set, depth + 1)
+        nonlocal cut
+        if depth >= stats.peak_open_set:
+            stats.peak_open_set = depth + 1
         if key in kitchen:
             return 0
         if key in path:
             return None
         cached = resolved.get(key)
         if cached is not None:
-            return cached if depth + cached <= cap else None
-        if depth >= cap:
+            if depth + cached <= cap:
+                return cached
+            cut = True
             return None
-        candidates = order(producers.get(key, ()))
+        if depth >= cap:
+            cut = True
+            return None
+        candidates = ranked.get(key)
+        if candidates is None:
+            candidates = ranked[key] = order(producers.get(key, ()))
         accepted: int | None = None
         outcome: int | None = None
         for index, (unit, _score) in enumerate(candidates):
             if index > 0 and not backtrack:
                 break
-            reused = placed.get(unit)
+            reused = placed.get(id(unit))
             if reused is not None:
                 if depth + reused <= cap:
                     resolved[key] = reused
-                    journal.append(("key", key))
+                    journal.append((resolved, key))
                     accepted, outcome = index, reused
                     break
+                cut = True
                 continue
             stats.expanded_units += 1
             steps_mark, journal_mark = len(steps), len(journal)
@@ -167,14 +191,14 @@ def _resolve(
                 continue
             chain = below + 1
             steps.append(unit)
-            placed[unit] = chain
-            journal.append(("unit", unit))
+            placed[id(unit)] = chain
+            journal.append((placed, id(unit)))
             resolved[key] = chain
-            journal.append(("key", key))
+            journal.append((resolved, key))
             accepted, outcome = index, chain
             break
         if trace is not None and candidates:
-            trace.append(ChoiceRecord(key, tuple(candidates), accepted))
+            trace.append(ChoiceRecord(key, candidates, accepted))
         return outcome
 
     def resolve_inputs(keys: tuple[str, ...], depth: int) -> int | None:
@@ -183,16 +207,17 @@ def _resolve(
             outcome = resolve_key(key, depth)
             if outcome is None:
                 return None
-            deepest = max(deepest, outcome)
+            if outcome > deepest:
+                deepest = outcome
         return deepest
 
     if resolve_key(goal_key, 0) is None:
-        return None
-    return list(steps)
+        return None, cut
+    return steps, cut
 
 
 def _file_order(units: Iterable[FunctionalUnit]) -> _Ranked:
-    return [(unit, float(unit.source_index)) for unit in units]
+    return tuple((unit, float(unit.source_index)) for unit in units)
 
 
 def _greedy_order(config: RetrievalConfig) -> _Order:
@@ -201,7 +226,7 @@ def _greedy_order(config: RetrievalConfig) -> _Order:
 
         def by_inputs(units: Iterable[FunctionalUnit]) -> _Ranked:
             scored = [(u, float(len(u.inputs))) for u in units]
-            return sorted(scored, key=lambda pair: (pair[1], pair[0].source_index))
+            return tuple(sorted(scored, key=lambda pair: (pair[1], pair[0].source_index)))
 
         return by_inputs
     profile = config.motion_profile
@@ -212,7 +237,7 @@ def _greedy_order(config: RetrievalConfig) -> _Order:
 
     def by_success(units: Iterable[FunctionalUnit]) -> _Ranked:
         scored = [(u, profile.rate_for(u.motion.label)) for u in units]
-        return sorted(scored, key=lambda pair: (-pair[1], pair[0].source_index))
+        return tuple(sorted(scored, key=lambda pair: (-pair[1], pair[0].source_index)))
 
     return by_success
 
@@ -229,15 +254,17 @@ def retrieve(
     ``ids`` (the default) runs exhaustive depth-limited passes with limits
     0, 1, ... max_depth, taking producers left to right in file order, and
     returns the first complete tree, which therefore has the smallest
-    achievable unit-chain depth.  The greedy algorithms take the candidate
-    with the highest motion success rate (gbfs-success, which requires a
-    motion profile) or the fewest input objects (gbfs-inputs); ties break
-    toward the earlier unit in the file.  With ``config.backtrack`` (the
-    default) a failed greedy subtree falls through to the next-best
-    candidate; without it the search commits to its first choice.  Pass
-    ``trace`` to record every choice point (for ids, those of every pass,
-    scored by file position).  Raises UnknownGoalError for an unknown goal
-    and TaskTreeNotFound when the search fails.
+    achievable unit-chain depth.  It stops early after a failed pass that
+    its limit never cut short, since every deeper pass would fail the same
+    way.  The greedy algorithms take the candidate with the highest motion
+    success rate (gbfs-success, which requires a motion profile) or the
+    fewest input objects (gbfs-inputs); ties break toward the earlier unit
+    in the file.  With ``config.backtrack`` (the default) a failed greedy
+    subtree falls through to the next-best candidate; without it the search
+    commits to its first choice.  Pass ``trace`` to record every choice
+    point (for ids, those of every pass, scored by file position).  Raises
+    UnknownGoalError for an unknown goal and TaskTreeNotFound when the
+    search fails.
     """
     if config is None:
         config = RetrievalConfig()
@@ -248,23 +275,27 @@ def retrieve(
             f"goal {goal_key!r} is neither produced by any unit nor in the kitchen"
         )
     stats = RetrievalStats()
+    ranked: dict[str, _Ranked] = {}
     if config.algorithm == IDS:
         for limit in range(config.max_depth + 1):
-            steps = _resolve(
-                graph, kitchen, goal_key, cap=limit, order=order,
+            stats.depth_reached = limit
+            steps, cut = _resolve(
+                graph, kitchen, goal_key, cap=limit, order=order, ranked=ranked,
                 backtrack=True, stats=stats, trace=trace,
             )
             if steps is not None:
-                stats.depth_reached = limit
                 return TaskTree(tuple(steps), goal_key, IDS), stats
-        stats.depth_reached = config.max_depth
+            if not cut:
+                bound = "at any depth"
+                break
+        else:
+            bound = f"within depth limit {config.max_depth}"
         raise TaskTreeNotFound(
-            f"no task tree within depth limit {config.max_depth}"
-            f" after {stats.expanded_units} unit expansions",
+            f"no task tree {bound} after {stats.expanded_units} unit expansions",
             stats,
         )
-    steps = _resolve(
-        graph, kitchen, goal_key, cap=float("inf"), order=order,
+    steps, _ = _resolve(
+        graph, kitchen, goal_key, cap=float("inf"), order=order, ranked=ranked,
         backtrack=config.backtrack, stats=stats, trace=trace,
     )
     stats.depth_reached = stats.peak_open_set - 1

@@ -110,6 +110,15 @@ def test_retrieve_not_found_exits_1(capsys):
     assert "no task tree found" in captured.err
 
 
+def test_retrieve_ids_not_found_work_does_not_grow_with_max_depth(capsys):
+    reasons = []
+    for max_depth in (50, 5000):
+        assert main(_retrieve_args("freeze_thaw", "ids", max_depth=max_depth)) == 1
+        reasons.append(capsys.readouterr().err)
+    assert reasons[0] == reasons[1]
+    assert reasons[0].endswith("no task tree at any depth after 3 unit expansions\n")
+
+
 def test_retrieve_unknown_goal_exits_2(tmp_path, capsys):
     goal = tmp_path / "goal.txt"
     goal.write_text("O\tteapot\t0\n")
@@ -132,6 +141,17 @@ def test_retrieve_with_gbfs_success_accepts_default_rate(capsys):
     code = main(_retrieve_args("ice_cup", "gbfs-success", default_rate=0.5))
     assert code == 0
     capsys.readouterr()
+
+
+def test_retrieve_with_gbfs_success_strict_default_rate_only_exits_3(capsys):
+    # Strict mode drops the default rate, which leaves gbfs-success no rates.
+    code = main(
+        _retrieve_args("ice_cup", "gbfs-success", default_rate=0.5, strict_motions=True)
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--strict-motions ignores --default-rate" in captured.err
 
 
 def test_retrieve_with_motions_uses_heuristic(tmp_path, capsys):

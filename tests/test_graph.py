@@ -1,5 +1,7 @@
 """Core model: normalization, node identity, indexing, availability."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -111,6 +113,20 @@ def test_functional_unit_requires_inputs_and_outputs():
         FunctionalUnit((), Motion("pour"), (node,))
     with pytest.raises(ValueError):
         FunctionalUnit((node,), Motion("pour"), ())
+
+
+def test_unit_keys_are_stored_and_survive_copies():
+    ice = ObjectNode("Ice", frozenset({StateDescriptor("in", container="tray")}))
+    full = ObjectNode("cup", frozenset({StateDescriptor("contains", contents={"ice"})}))
+    unit = FunctionalUnit((ice, ObjectNode("cup")), Motion("pour"), (full,))
+    assert unit.input_keys() == ("ice|in[tray]", "cup|")
+    assert unit.output_keys() == ("cup|contains{ice}",)
+    pickled = pickle.loads(pickle.dumps(unit))
+    assert pickled == unit
+    for copy in (pickled, dataclasses.replace(unit, source_index=3)):
+        assert copy.input_keys() == unit.input_keys()
+        assert copy.output_keys() == unit.output_keys()
+    assert "_input_keys" not in repr(unit)
 
 
 def test_unit_text_excludes_source_index():

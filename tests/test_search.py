@@ -255,23 +255,7 @@ def test_cycles_terminate(length):
             retrieve(graph, goal, kitchen, config)
 
 
-# --- known defects (remove a marker once its defect is fixed) ---------------
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="D4: ids keeps deepening after a pass its depth cap never cut short",
-)
-def test_ids_not_found_work_does_not_grow_with_max_depth():
-    universe = load_universe("freeze_thaw")
-    expanded = []
-    for max_depth in (5, 500):
-        config = RetrievalConfig(max_depth=max_depth)
-        with pytest.raises(TaskTreeNotFound) as caught:
-            retrieve(universe.graph, universe.goal, universe.kitchen, config)
-        expanded.append(caught.value.stats.expanded_units)
-    assert expanded[0] == expanded[1]  # ids expands 9 and 999 units
+# --- deepening stops once its limit cuts nothing ---------------------------
 
 
 def _plain_unit(inputs, motion, output, index):
@@ -280,19 +264,64 @@ def _plain_unit(inputs, motion, output, index):
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="D1: a shared subgoal keeps the deeper producer an earlier sibling chose",
-)
-def test_ids_is_depth_minimal_when_a_shared_subgoal_has_a_shallower_producer():
-    units = [
+def _d1_units():
+    """The D1 reproducer: kitchen ``{k}``, goal ``goal``."""
+    return [
         _plain_unit(("a", "b"), "g", "goal", 0),
         _plain_unit(("p",), "a1", "a", 1),
         _plain_unit(("k",), "a2", "a", 2),
         _plain_unit(("k",), "p1", "p", 3),
         _plain_unit(("a",), "b1", "b", 4),
     ]
-    graph, kitchen, goal = build_graph(units), Kitchen((ObjectNode("k"),)), ObjectNode("goal")
+
+
+def test_ids_not_found_work_does_not_grow_with_max_depth():
+    universe = load_universe("freeze_thaw")
+    expanded = []
+    for max_depth in (5, 500):
+        config = RetrievalConfig(max_depth=max_depth)
+        with pytest.raises(TaskTreeNotFound) as caught:
+            retrieve(universe.graph, universe.goal, universe.kitchen, config)
+        expanded.append(caught.value.stats.expanded_units)
+    assert expanded[0] == expanded[1] == 3  # pass 2 hits the cycle, not the limit
+    assert caught.value.stats.depth_reached == 2
+    assert caught.value.reason == "no task tree at any depth after 3 unit expansions"
+
+
+def test_ids_keeps_deepening_after_a_pass_whose_limit_refused_a_resolved_key():
+    # The D1 universe: at limit 3, "b1" asks for "a" at depth 2 after "a" was
+    # resolved through "a1" with chain depth 2, and only the limit refuses it.
+    graph, kitchen = build_graph(_d1_units()), Kitchen((ObjectNode("k"),))
+    tree, stats = retrieve(graph, ObjectNode("goal"), kitchen)
+    assert [unit.motion.label for unit in tree.steps] == ["p1", "a1", "b1", "g"]
+    assert stats.depth_reached == 4
+
+
+def test_ids_keeps_deepening_after_a_pass_whose_limit_refused_a_placed_unit():
+    # At limit 3, "y" is asked for at depth 2 while the unit "u" that also
+    # made "x" sits placed with chain depth 2, and only the limit refuses it.
+    x, y, z, w, k = (ObjectNode(name) for name in "xyzwk")
+    units = [
+        FunctionalUnit((x, z), Motion("g"), (ObjectNode("goal"),), 0),
+        FunctionalUnit((w,), Motion("u"), (x, y), 1),
+        FunctionalUnit((y,), Motion("z"), (z,), 2),
+        FunctionalUnit((k,), Motion("w"), (w,), 3),
+    ]
+    tree, stats = retrieve(build_graph(units), ObjectNode("goal"), Kitchen((k,)))
+    assert [unit.motion.label for unit in tree.steps] == ["w", "u", "z", "g"]
+    assert stats.depth_reached == 4
+
+
+# --- known defects (remove a marker once its defect is fixed) ---------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="D1: a shared subgoal keeps the deeper producer an earlier sibling chose",
+)
+def test_ids_is_depth_minimal_when_a_shared_subgoal_has_a_shallower_producer():
+    graph, kitchen = build_graph(_d1_units()), Kitchen((ObjectNode("k"),))
+    goal = ObjectNode("goal")
     trees = enumerate_all_task_trees(graph, goal, kitchen)
     assert min(tree_metrics(t, kitchen=kitchen).max_chain_depth for t in trees) == 3
     tree, _ = retrieve(graph, goal, kitchen)
