@@ -223,15 +223,18 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         backtrack=not args.no_backtrack,
     )
     tree, stats = retrieve(graph, goal, kitchen, config)
+    # Every product is built before any is written, so a run that fails
+    # (a motion without a rate, say) leaves no partial output behind.
     tree_text = serialize_foon(tree.steps)
+    dot_text = export_dot(tree) if args.dot else ""
+    metrics = tree_metrics(tree, profile, kitchen=kitchen) if args.json else None
     if args.out:
         Path(args.out).write_text(tree_text, encoding="utf-8")
     else:
         sys.stdout.write(tree_text)
     if args.dot:
-        Path(args.dot).write_text(export_dot(tree), encoding="utf-8")
+        Path(args.dot).write_text(dot_text, encoding="utf-8")
     if args.json:
-        metrics = tree_metrics(tree, profile, kitchen=kitchen)
         _write_json(
             args.json,
             {

@@ -224,7 +224,7 @@ class Kitchen:
 
     Availability is exact: ``key in kitchen`` holds only for an item with
     that name and full state set; an item whose states merely include the
-    requested ones does not count.
+    requested ones does not count.  ``keys`` is the frozenset of item keys.
     """
 
     items: tuple[ObjectNode, ...] = ()
@@ -234,10 +234,10 @@ class Kitchen:
         for node in self.items:
             unique.setdefault(node.key, node)
         self.items = tuple(unique.values())
-        self._keys = frozenset(unique)
+        self.keys = frozenset(unique)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._keys
+        return key in self.keys
 
     def __len__(self) -> int:
         return len(self.items)

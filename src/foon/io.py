@@ -13,11 +13,17 @@ A functional unit is one or more object blocks, one M line, then one or more
 object blocks.  Blank lines are ignored, trailing whitespace (including
 stray tabs) is tolerated, and a final unit without a closing separator is
 accepted.  Kitchen and goal files reuse the object-block syntax only.
+
+One object-block reader serves all three kinds of file.  Within one call it
+parses each distinct O, S and M line once, and every copy of a block (its O
+line plus the S lines that parsed, as read) shares one ObjectNode.  A line
+that fails to parse is never memoized, so each copy of it is reported at its
+own line number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 from .graph import (
@@ -53,19 +59,19 @@ def _split_fields(line: str) -> list[str]:
 
 
 def _parse_object_line(fields: list[str], lineno: int) -> tuple[str, int]:
+    # A trimmed field is empty exactly when its normalized form is empty.
     if len(fields) != 3:
         raise ParseError("object line must be 'O<TAB>name<TAB>flag'", lineno)
-    name = fields[1]
-    if not normalize(name):
+    if not fields[1]:
         raise ParseError("object name is empty", lineno)
     flag = fields[2]
     if flag not in ("0", "1"):
         raise ParseError(f"in-motion flag must be 0 or 1, got {flag!r}", lineno)
-    return name, int(flag)
+    return fields[1], int(flag)
 
 
 def _parse_state_line(fields: list[str], lineno: int) -> StateDescriptor:
-    if len(fields) < 2 or not normalize(fields[1]):
+    if len(fields) < 2 or not fields[1]:
         raise ParseError("state line needs a label", lineno)
     if len(fields) > 3:
         raise ParseError("too many fields on state line", lineno)
@@ -74,14 +80,12 @@ def _parse_state_line(fields: list[str], lineno: int) -> StateDescriptor:
         return StateDescriptor(label)
     payload = fields[2]
     if payload.startswith("["):
-        if not payload.endswith("]") or not normalize(payload[1:-1]):
+        if not payload.endswith("]") or not payload[1:-1].strip():
             raise ParseError(f"malformed container payload {payload!r}", lineno)
         return StateDescriptor(label, container=payload[1:-1])
     if payload.startswith("{"):
-        if not payload.endswith("}"):
-            raise ParseError(f"malformed contents payload {payload!r}", lineno)
-        names = [normalize(piece) for piece in payload[1:-1].split(",")]
-        if any(not name for name in names):
+        names = payload[1:-1].split(",")
+        if not payload.endswith("}") or not all(name.strip() for name in names):
             raise ParseError(f"malformed contents payload {payload!r}", lineno)
         return StateDescriptor(label, contents=frozenset(names))
     raise ParseError(
@@ -89,64 +93,80 @@ def _parse_state_line(fields: list[str], lineno: int) -> StateDescriptor:
     )
 
 
-@dataclass
-class _NodeBuilder:
-    line: int
-    name: str
-    in_motion: int
-    states: list[StateDescriptor] = field(default_factory=list)
+class _Reader:
+    """Reads object blocks, and assembles universe files' blocks into units.
 
-    def build(self) -> ObjectNode:
-        return ObjectNode(self.name, frozenset(self.states), self.in_motion)
-
-
-class _UnitAccumulator:
-    """Assembles functional units line by line with error recovery.
-
-    A malformed line marks the current unit broken; the unit is dropped at
-    the next separator without a second diagnostic, and parsing continues.
+    ``open`` starts a block at an O line and ``add_state`` adds an S line to
+    it.  A closed block's node joins the open unit's inputs, or its outputs
+    once the unit has a motion; kitchen and goal files have no motion lines,
+    so all their nodes are ``inputs``.  A malformed line marks the current
+    unit broken; the unit is dropped at the next separator without a second
+    diagnostic, and parsing continues.
     """
 
-    def __init__(self, units: list[FunctionalUnit], diagnostics: list[ParseDiagnostic]):
-        self.units = units
-        self.diagnostics = diagnostics
-        self.inputs: list[tuple[ObjectNode, int]] = []
+    def __init__(self) -> None:
+        self.heads: dict[str, tuple[str, int]] = {}  # raw O line -> name, flag
+        self.states: dict[str, StateDescriptor] = {}
+        self.motions: dict[str, Motion] = {}
+        self.nodes: dict[tuple[str, ...], ObjectNode] = {}  # a block's raw lines -> node
+        self.lines: list[str] = []  # the open block's raw lines; empty if none
+        self.start = 0  # the open block's O line number
+        self.units: list[FunctionalUnit] = []
+        self.diagnostics: list[ParseDiagnostic] = []
+        self.inputs: list[ObjectNode] = []
         self.outputs: list[tuple[ObjectNode, int]] = []
         self.motion: Motion | None = None
-        self.current: _NodeBuilder | None = None
         self.broken = False
-        self.source_index = 0
 
-    def open_object(self, fields: list[str], lineno: int) -> None:
-        name, flag = _parse_object_line(fields, lineno)
-        self._close_object()
-        self.current = _NodeBuilder(lineno, name, flag)
+    def open(self, line: str, lineno: int) -> None:
+        if line not in self.heads:
+            self.heads[line] = _parse_object_line(_split_fields(line), lineno)
+        self.close()
+        self.lines, self.start = [line], lineno
 
-    def add_state(self, fields: list[str], lineno: int) -> None:
-        state = _parse_state_line(fields, lineno)
-        if self.current is None:
-            if self.broken:
-                return  # consequence of an already-reported problem
-            raise ParseError("state line with no preceding object line", lineno)
-        self.current.states.append(state)
+    def add_state(self, line: str, lineno: int) -> bool:
+        """Parse an S line into the open block; False when none is open."""
+        if line not in self.states:
+            self.states[line] = _parse_state_line(_split_fields(line), lineno)
+        if not self.lines:
+            return False
+        self.lines.append(line)
+        return True
 
-    def set_motion(self, fields: list[str], lineno: int) -> None:
-        self._close_object()
-        if len(fields) < 2 or not normalize(fields[1]):
-            raise ParseError("motion line needs a label", lineno)
+    def close(self) -> None:
+        if not self.lines:
+            return
+        text = tuple(self.lines)
+        node = self.nodes.get(text)
+        if node is None:
+            name, flag = self.heads[text[0]]
+            node = self.nodes[text] = ObjectNode(
+                name, frozenset(map(self.states.__getitem__, text[1:])), flag
+            )
+        self.lines = []
+        if self.motion is None:
+            self.inputs.append(node)
+        else:
+            self.outputs.append((node, self.start))
+
+    def set_motion(self, line: str, lineno: int) -> None:
+        self.close()
+        motion = self.motions.get(line)
+        if motion is None:
+            fields = _split_fields(line)
+            if len(fields) < 2 or not fields[1]:
+                raise ParseError("motion line needs a label", lineno)
+            motion = self.motions[line] = Motion(fields[1], tuple(fields[2:]))
         if self.motion is not None or not self.inputs:
             if self.broken:
                 return  # consequence of an already-reported problem
             if self.motion is not None:
                 raise ParseError("second motion line within one unit", lineno)
             raise ParseError("motion line with no input objects before it", lineno)
-        self.motion = Motion(fields[1], tuple(fields[2:]))
-
-    def mark_broken(self) -> None:
-        self.broken = True
+        self.motion = motion
 
     def finish_unit(self, lineno: int) -> None:
-        self._close_object()
+        self.close()
         pending = bool(self.inputs or self.outputs or self.motion is not None)
         if pending and not self.broken:
             if self.motion is None:
@@ -162,20 +182,14 @@ class _UnitAccumulator:
         self.inputs = []
         self.outputs = []
         self.motion = None
-        self.current = None
         self.broken = False
 
     def _emit(self) -> None:
         assert self.motion is not None
-        unit = FunctionalUnit(
-            inputs=tuple(node for node, _ in self.inputs),
-            motion=self.motion,
-            outputs=tuple(node for node, _ in self.outputs),
-            source_index=self.source_index,
-        )
+        outputs = [node for node, _ in self.outputs]
+        unit = FunctionalUnit(self.inputs, self.motion, outputs, len(self.units))
         input_keys = set(unit.input_keys())
-        for node, node_line in self.outputs:
-            key = node.key
+        for key, (_, node_line) in zip(unit.output_keys(), self.outputs):
             if key in input_keys:
                 self.diagnostics.append(
                     ParseDiagnostic(
@@ -185,15 +199,6 @@ class _UnitAccumulator:
                     )
                 )
         self.units.append(unit)
-        self.source_index += 1
-
-    def _close_object(self) -> None:
-        if self.current is None:
-            return
-        node = self.current.build()
-        bucket = self.outputs if self.motion is not None else self.inputs
-        bucket.append((node, self.current.line))
-        self.current = None
 
 
 def parse_foon(text: str | bytes) -> tuple[list[FunctionalUnit], list[ParseDiagnostic]]:
@@ -207,33 +212,31 @@ def parse_foon(text: str | bytes) -> tuple[list[FunctionalUnit], list[ParseDiagn
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    units: list[FunctionalUnit] = []
-    diagnostics: list[ParseDiagnostic] = []
-    accumulator = _UnitAccumulator(units, diagnostics)
+    reader = _Reader()
+    units, diagnostics = reader.units, reader.diagnostics
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line:
             continue
         if line.startswith("//"):
-            accumulator.finish_unit(lineno)
+            reader.finish_unit(lineno)
             continue
-        fields = _split_fields(line)
         try:
-            tag = fields[0]
+            tag = line.partition("\t")[0].strip()
             if tag == "O":
-                accumulator.open_object(fields, lineno)
+                reader.open(line, lineno)
             elif tag == "S":
-                accumulator.add_state(fields, lineno)
+                if not reader.add_state(line, lineno) and not reader.broken:
+                    raise ParseError("state line with no preceding object line", lineno)
             elif tag == "M":
-                accumulator.set_motion(fields, lineno)
+                reader.set_motion(line, lineno)
             else:
                 raise ParseError(f"unrecognized line tag {tag!r}", lineno)
-        except (ParseError, ValueError) as exc:
-            message = exc.message if isinstance(exc, ParseError) else str(exc)
-            diagnostics.append(ParseDiagnostic(lineno, ERROR, message))
-            accumulator.mark_broken()
-    accumulator.finish_unit(max(lineno, 1))
+        except ParseError as exc:
+            diagnostics.append(ParseDiagnostic(lineno, ERROR, exc.message))
+            reader.broken = True
+    reader.finish_unit(max(lineno, 1))
     if not units and not any(d.severity == ERROR for d in diagnostics):
         diagnostics.append(
             ParseDiagnostic(1, ERROR, "empty universe: no functional units found")
@@ -252,39 +255,25 @@ def serialize_foon(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> 
 
 def _parse_object_blocks(text: str, source: str) -> list[ObjectNode]:
     """Object blocks only (kitchen/goal files); raises ParseError on any flaw."""
-    nodes: list[ObjectNode] = []
-    current: _NodeBuilder | None = None
-
-    def close() -> None:
-        nonlocal current
-        if current is not None:
-            nodes.append(current.build())
-            current = None
-
+    reader = _Reader()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
-        if not line:
-            close()
+        if not line or line.startswith("//"):
+            reader.close()
             continue
-        if line.startswith("//"):
-            close()
-            continue
-        fields = _split_fields(line)
-        tag = fields[0]
+        tag = line.partition("\t")[0].strip()
         if tag == "O":
-            close()
-            name, flag = _parse_object_line(fields, lineno)
-            current = _NodeBuilder(lineno, name, flag)
+            reader.open(line, lineno)
         elif tag == "S":
-            if current is None:
+            if not reader.lines:
                 raise ParseError("state line with no preceding object line", lineno)
-            current.states.append(_parse_state_line(fields, lineno))
+            reader.add_state(line, lineno)
         elif tag == "M":
             raise ParseError(f"motion line not allowed in a {source} file", lineno)
         else:
             raise ParseError(f"unrecognized line tag {tag!r}", lineno)
-    close()
-    return nodes
+    reader.close()
+    return reader.inputs
 
 
 def parse_kitchen(text: str) -> Kitchen:

@@ -117,7 +117,7 @@ class TaskTreeNotFound(FoonError):
 
 def _resolve(
     graph: FoonGraph,
-    kitchen: Kitchen,
+    stock: frozenset[str],
     goal_key: str,
     *,
     cap: float,
@@ -129,9 +129,10 @@ def _resolve(
 ) -> tuple[list[FunctionalUnit] | None, bool]:
     """One depth-capped backward search.
 
-    Returns the ordered steps (None when the search failed) and whether the
-    cap refused any request.  ``ranked`` memoizes ``order`` per key and may
-    be shared by every pass of one retrieval.
+    ``stock`` is the kitchen's key set.  Returns the ordered steps (None when
+    the search failed) and whether the cap refused any request.  ``ranked``
+    memoizes ``order`` per key and may be shared by every pass of one
+    retrieval.
     """
     producers = graph.producers
     steps: list[FunctionalUnit] = []
@@ -151,7 +152,7 @@ def _resolve(
         nonlocal cut
         if depth >= stats.peak_open_set:
             stats.peak_open_set = depth + 1
-        if key in kitchen:
+        if key in stock:
             return 0
         if key in path:
             return None
@@ -280,7 +281,7 @@ def retrieve(
         for limit in range(config.max_depth + 1):
             stats.depth_reached = limit
             steps, cut = _resolve(
-                graph, kitchen, goal_key, cap=limit, order=order, ranked=ranked,
+                graph, kitchen.keys, goal_key, cap=limit, order=order, ranked=ranked,
                 backtrack=True, stats=stats, trace=trace,
             )
             if steps is not None:
@@ -295,7 +296,7 @@ def retrieve(
             stats,
         )
     steps, _ = _resolve(
-        graph, kitchen, goal_key, cap=float("inf"), order=order, ranked=ranked,
+        graph, kitchen.keys, goal_key, cap=float("inf"), order=order, ranked=ranked,
         backtrack=config.backtrack, stats=stats, trace=trace,
     )
     stats.depth_reached = stats.peak_open_set - 1

@@ -192,6 +192,28 @@ def test_strict_motions_ignores_default_rate(algorithm, strict, tmp_path, capsys
     assert ("no success rate for motion 'pour'" in err) == strict
 
 
+def test_retrieve_missing_motion_rate_writes_no_product_file(tmp_path, capsys):
+    rates = tmp_path / "rates.txt"
+    rates.write_text("chill\t0.9\n")  # no rate for pour, which the ids tree uses
+    out, dot, metrics = tmp_path / "tree.txt", tmp_path / "tree.dot", tmp_path / "o.json"
+    code = main(_retrieve_args("ice_cup", "ids", motions=rates, out=out, dot=dot, json=metrics))
+    assert code == 2
+    assert "no success rate for motion 'pour'" in capsys.readouterr().err
+    assert not out.exists() and not dot.exists() and not metrics.exists()
+
+
+def test_retrieve_strict_default_rate_only_writes_nothing_to_stdout(tmp_path, capsys):
+    metrics = tmp_path / "o.json"
+    code = main(
+        _retrieve_args("ice_cup", "ids", strict_motions=True, default_rate=0.5, json=metrics)
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no success rate for motion 'pour'" in captured.err
+    assert not metrics.exists()
+
+
 @pytest.mark.parametrize("command", ["retrieve", "compare"])
 def test_chain_too_deep_for_the_resolver_exits_2(command, tmp_path, capsys):
     nodes = [ObjectNode(f"n{i}") for i in range(601)]

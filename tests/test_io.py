@@ -165,6 +165,57 @@ def test_diagnostic_lines_index_the_input():
     assert any(d.line == 2 for d in diagnostics)
 
 
+# --- the memoized block reader -----------------------------------------------
+
+_UNIT = "O\ta\t0\nS\twhole\nM\tmix\nO\tb\t0\n//\n"
+
+
+def test_each_copy_of_a_malformed_block_is_reported_at_its_own_line():
+    broken = "O\ta\t0\nS\tin\t[\nM\tmix\nO\tb\t0\n//\n"
+    units, diagnostics = parse_foon(broken + _UNIT + broken)
+    assert len(units) == 1
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (2, "malformed container payload '['"),
+        (12, "malformed container payload '['"),
+    ]
+
+
+def test_a_clean_copy_of_a_block_after_a_broken_copy_still_parses():
+    # Line 3 fails while the block of lines 1-2 is open; lines 7-8 repeat it.
+    broken = "O\ta\t0\nS\twhole\nS\tin\t[\nM\tmix\nO\tb\t0\n//\n"
+    units, diagnostics = parse_foon(broken + _UNIT)
+    assert [str(d) for d in diagnostics] == ["line 3: error: malformed container payload '['"]
+    (unit,) = units
+    assert unit.inputs[0].key == "a|whole"
+    assert unit.source_index == 0
+
+
+def test_untransformed_output_warning_uses_the_line_of_each_memoized_copy():
+    unit = "O\tboard\t0\nO\ta\t0\nM\tmix\nO\tboard\t0\nO\tb\t0\n//\n"
+    units, diagnostics = parse_foon(unit + unit)
+    assert units[0].outputs[0] is units[1].outputs[0]  # one node for both copies
+    assert [(d.line, d.severity) for d in diagnostics] == [(4, "warning"), (10, "warning")]
+    assert all("'board|' also appears as an input" in d.message for d in diagnostics)
+
+
+def test_copies_of_a_block_share_one_node_within_a_call_only():
+    text = _UNIT + _UNIT
+    first, _ = parse_foon(text)
+    second, _ = parse_foon(text)
+    assert first[0].inputs[0] is first[1].inputs[0]
+    assert first[0].motion is first[1].motion
+    for unit_a, unit_b in zip(first, second):
+        for node_a, node_b in zip(unit_a.inputs + unit_a.outputs, unit_b.inputs + unit_b.outputs):
+            assert node_a == node_b
+            assert node_a is not node_b
+
+
+def test_blocks_differing_only_in_the_in_motion_flag_stay_distinct():
+    units, _ = parse_foon(_UNIT + _UNIT.replace("a\t0", "a\t1"))
+    assert [unit.inputs[0].in_motion for unit in units] == [0, 1]
+    assert [unit.to_text() for unit in units] == [_UNIT[:-3], _UNIT[:-3].replace("a\t0", "a\t1")]
+
+
 def test_parse_motion_profile_basics():
     profile = parse_motion_profile("# rates\npour\t0.95\n\nchill\t0.8\n")
     assert profile.rates == {"pour": 0.95, "chill": 0.8}
