@@ -81,7 +81,7 @@ def tree_metrics(
     deepest_chain = 0
     for step in tree.steps:
         deepest_input = 0
-        for key in step.input_keys():
+        for key in step.input_keys:
             if key in kitchen:
                 leaves.add(key)
                 contribution = 0
@@ -93,7 +93,7 @@ def tree_metrics(
             deepest_input = max(deepest_input, contribution)
         depth = deepest_input + 1
         deepest_chain = max(deepest_chain, depth)
-        for key in step.output_keys():
+        for key in step.output_keys:
             previous = produced.get(key)
             produced[key] = depth if previous is None else min(previous, depth)
     return TreeMetrics(
@@ -180,7 +180,7 @@ def enumerate_all_task_trees(
                     outcomes.append((partial.reuse(key, chain), chain))
                 continue
             for candidate, below in resolve_inputs(
-                unit.input_keys(), depth + 1, partial, deeper_path
+                unit.input_keys, depth + 1, partial, deeper_path
             ):
                 outcomes.append((candidate.place(key, unit, below + 1), below + 1))
         return outcomes
@@ -199,9 +199,9 @@ def enumerate_all_task_trees(
                 break
         return combos
 
-    unique: dict[frozenset[str], TaskTree] = {}
+    unique: dict[frozenset[FunctionalUnit], TaskTree] = {}
     for partial, _chain in resolve_key(goal_key, 0, _Partial(), frozenset()):
-        identity = frozenset(unit.to_text() for unit in partial.steps)
+        identity = frozenset(partial.steps)
         if identity not in unique:
             unique[identity] = TaskTree(partial.steps, goal_key, "oracle")
     return sorted(unique.values(), key=lambda t: (len(t.steps), t.canonical_form()))

@@ -6,7 +6,7 @@ with the object nodes it consumes (inputs) and the object nodes it produces
 built once from the normalized object name plus its sorted state
 descriptors; the in-motion flag is deliberately left out of the identity so
 that the same object can chain from one unit's output into another unit's
-input.
+input.  Units are identified by their content, ``source_index`` aside.
 """
 
 from __future__ import annotations
@@ -20,6 +20,15 @@ from .errors import EmptyUniverseError, MissingMotionRateError
 def normalize(text: str) -> str:
     """Lowercase, strip, and collapse internal whitespace runs to one space."""
     return " ".join(text.lower().split())
+
+
+_RESERVED = frozenset("\\|+[]{}")
+_KEY_ESCAPES = str.maketrans({char: "\\" + char for char in _RESERVED})
+
+
+def _escape(text: str) -> str:
+    """Backslash-escape key delimiters; skips ``translate``, which is slow, if none."""
+    return text if _RESERVED.isdisjoint(text) else text.translate(_KEY_ESCAPES)
 
 
 @dataclass(frozen=True)
@@ -50,19 +59,20 @@ class StateDescriptor:
         contents = None
         if self.contents is not None:
             contents = frozenset(normalize(item) for item in self.contents)
-            if not contents or "" in contents:
-                raise ValueError("contents must be a non-empty set of non-empty names")
+            if not contents or any(not item or "," in item for item in contents):
+                raise ValueError("contents must be a non-empty set of names without ','")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "container", container)
         object.__setattr__(self, "contents", contents)
 
     def serial(self) -> str:
-        """Canonical single-token form, used inside node keys."""
+        """Canonical single-token form for node keys; ``\\|+[]{}`` are escaped."""
+        label = _escape(self.label)
         if self.container is not None:
-            return f"{self.label}[{self.container}]"
+            return f"{label}[{_escape(self.container)}]"
         if self.contents is not None:
-            return self.label + "{" + ",".join(sorted(self.contents)) + "}"
-        return self.label
+            return label + "{" + ",".join(sorted(map(_escape, self.contents))) + "}"
+        return label
 
     def display(self) -> str:
         """Reader-friendly form, used in DOT labels."""
@@ -80,9 +90,10 @@ class ObjectNode:
     ``key`` is the node's identity, computed once on construction from the
     normalized name plus the sorted state serials: ``onions|whole``,
     ``onions|chopped+in[chopping board]``, ``cup|contains{ice}``; a
-    stateless node keys as ``chopping board|``.  ``in_motion`` mirrors the
-    0/1 flag on object lines; it is preserved for round-tripping but does not
-    participate in node identity.
+    stateless node keys as ``chopping board|``.  ``\\|+[]{}`` inside names are
+    backslash-escaped (``a|b`` keys as ``a\\|b|``), so two nodes share a key
+    exactly when their names and state sets are equal.  ``in_motion`` is the
+    0/1 flag on object lines, kept for round-tripping but not in the key.
     """
 
     name: str
@@ -98,8 +109,9 @@ class ObjectNode:
             raise ValueError("in-motion flag must be 0 or 1")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "states", frozenset(self.states))
-        serials = "+".join(state.serial() for state in self.sorted_states())
-        object.__setattr__(self, "key", f"{name}|{serials}")
+        object.__setattr__(self, "in_motion", int(self.in_motion))
+        serials = "+".join(sorted(state.serial() for state in self.states))
+        object.__setattr__(self, "key", f"{_escape(name)}|{serials}")
 
     def sorted_states(self) -> tuple[StateDescriptor, ...]:
         return tuple(sorted(self.states, key=StateDescriptor.serial))
@@ -107,7 +119,7 @@ class ObjectNode:
 
 @dataclass(frozen=True)
 class Motion:
-    """The manipulation a functional unit performs."""
+    """The manipulation a functional unit performs; ``extras`` are kept verbatim."""
 
     label: str
     extras: tuple[str, ...] = ()
@@ -116,8 +128,11 @@ class Motion:
         label = normalize(self.label)
         if not label:
             raise ValueError("motion label must be non-empty")
+        extras = tuple(self.extras)
+        if any("\t" in extra or "".join(extra.splitlines()) != extra for extra in extras):
+            raise ValueError("motion extras may not contain tabs or line breaks")
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "extras", tuple(self.extras))
+        object.__setattr__(self, "extras", extras)
 
 
 def _node_lines(node: ObjectNode) -> list[str]:
@@ -137,16 +152,17 @@ def _node_lines(node: ObjectNode) -> list[str]:
 class FunctionalUnit:
     """Input object nodes, one motion, output object nodes.
 
-    The input and output node keys are stored once on construction, like
-    ``ObjectNode.key``; they take no part in equality or hashing.
+    Units are equal, and hash equal, when their inputs, motion and outputs
+    are; ``source_index`` (the unit's position in its file) is not compared.
+    ``input_keys`` and ``output_keys`` are the nodes' keys, stored once.
     """
 
     inputs: tuple[ObjectNode, ...]
     motion: Motion
     outputs: tuple[ObjectNode, ...]
-    source_index: int = 0
-    _input_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _output_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    source_index: int = field(default=0, compare=False)
+    input_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    output_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -155,21 +171,14 @@ class FunctionalUnit:
             raise ValueError("a functional unit needs at least one input object")
         if not self.outputs:
             raise ValueError("a functional unit needs at least one output object")
-        object.__setattr__(self, "_input_keys", tuple(node.key for node in self.inputs))
-        object.__setattr__(self, "_output_keys", tuple(node.key for node in self.outputs))
-
-    def input_keys(self) -> tuple[str, ...]:
-        return self._input_keys
-
-    def output_keys(self) -> tuple[str, ...]:
-        return self._output_keys
+        object.__setattr__(self, "input_keys", tuple(node.key for node in self.inputs))
+        object.__setattr__(self, "output_keys", tuple(node.key for node in self.outputs))
 
     def to_text(self) -> str:
-        """Canonical tab-delimited block (ends with a newline, no separator).
+        """The unit's block in the file format (ends with a newline, no separator).
 
-        Excludes ``source_index``, so two units read from different places
-        but describing the same transformation render identically; this is
-        the content identity used for deduplication.
+        This is the serialization, without ``source_index``.  Equal units
+        render the same text and different units different text.
         """
         lines: list[str] = []
         for node in self.inputs:
@@ -262,20 +271,12 @@ class FoonGraph:
 def build_graph(units: Iterable[FunctionalUnit]) -> FoonGraph:
     """Index functional units into a FoonGraph.
 
-    Later units whose content (ignoring ``source_index``) duplicates an
-    earlier one are dropped and counted.  Raises EmptyUniverseError when no
-    units remain.
+    A unit equal to an earlier one (same content, whatever its
+    ``source_index``) is dropped and counted; the first copy is kept.
+    Raises EmptyUniverseError when no units remain.
     """
-    kept: list[FunctionalUnit] = []
-    seen: set[str] = set()
-    dropped = 0
-    for unit in units:
-        form = unit.to_text()
-        if form in seen:
-            dropped += 1
-            continue
-        seen.add(form)
-        kept.append(unit)
+    units = tuple(units)
+    kept = tuple(dict.fromkeys(units))
     if not kept:
         raise EmptyUniverseError("empty universe: no functional units")
     producers: dict[str, list[FunctionalUnit]] = {}
@@ -283,9 +284,9 @@ def build_graph(units: Iterable[FunctionalUnit]) -> FoonGraph:
         for node in unit.outputs:
             producers.setdefault(node.key, []).append(unit)
     return FoonGraph(
-        units=tuple(kept),
+        units=kept,
         producers={key: tuple(value) for key, value in producers.items()},
-        duplicates_dropped=dropped,
+        duplicates_dropped=len(units) - len(kept),
     )
 
 

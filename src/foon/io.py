@@ -188,9 +188,8 @@ class _Reader:
         assert self.motion is not None
         outputs = [node for node, _ in self.outputs]
         unit = FunctionalUnit(self.inputs, self.motion, outputs, len(self.units))
-        input_keys = set(unit.input_keys())
-        for key, (_, node_line) in zip(unit.output_keys(), self.outputs):
-            if key in input_keys:
+        for key, (_, node_line) in zip(unit.output_keys, self.outputs):
+            if key in unit.input_keys:
                 self.diagnostics.append(
                     ParseDiagnostic(
                         node_line,

@@ -185,7 +185,7 @@ def _resolve(
             stats.expanded_units += 1
             steps_mark, journal_mark = len(steps), len(journal)
             path.add(key)
-            below = resolve_inputs(unit.input_keys(), depth + 1)
+            below = resolve_inputs(unit.input_keys, depth + 1)
             path.discard(key)
             if below is None:
                 rollback(steps_mark, journal_mark)
@@ -322,28 +322,27 @@ def validate_tree(
     Verifies that every step is a unit of the graph, appears only once, and
     has each input either kitchen-satisfied or produced by an earlier step;
     the final step must output the goal (an empty tree needs the goal in the
-    kitchen).  Returns (ok, problems).
+    kitchen).  Steps compare by content, against the graph's producers of
+    their first output.  Returns (ok, problems).
     """
     problems: list[str] = []
-    known = {unit.to_text() for unit in graph.units}
-    seen: set[str] = set()
+    seen: set[FunctionalUnit] = set()
     available: set[str] = set()
     for position, step in enumerate(tree.steps):
-        form = step.to_text()
-        if form not in known:
+        if step not in graph.producers.get(step.output_keys[0], ()):
             problems.append(f"step {position} is not a unit of the graph")
-        if form in seen:
+        if step in seen:
             problems.append(f"step {position} duplicates an earlier step")
-        seen.add(form)
-        for key in dict.fromkeys(step.input_keys()):
+        seen.add(step)
+        for key in dict.fromkeys(step.input_keys):
             if key not in kitchen and key not in available:
                 problems.append(
                     f"step {position} input {key!r} is neither in the kitchen"
                     " nor produced by an earlier step"
                 )
-        available.update(step.output_keys())
+        available.update(step.output_keys)
     if tree.steps:
-        if tree.goal_key not in tree.steps[-1].output_keys():
+        if tree.goal_key not in tree.steps[-1].output_keys:
             problems.append(
                 f"goal {tree.goal_key!r} is not among the final step's outputs"
             )

@@ -110,6 +110,24 @@ def test_retrieve_not_found_exits_1(capsys):
     assert "no task tree found" in captured.err
 
 
+def test_retrieve_matches_states_exactly_despite_reserved_characters(tmp_path, capsys):
+    # One state "dry+sifted" is not the two states "dry" and "sifted".
+    universe = tmp_path / "universe.txt"
+    universe.write_text("O\tflour\t0\nS\tdry+sifted\nM\tmix\nO\tbatter\t0\n//\n")
+    kitchen = tmp_path / "kitchen.txt"
+    kitchen.write_text("O\tflour\t0\nS\tsifted\nS\tdry\n")
+    goal = tmp_path / "goal.txt"
+    goal.write_text("O\tbatter\t0\n")
+    code = main([
+        "retrieve", "--foon", str(universe), "--kitchen", str(kitchen),
+        "--goal", str(goal), "--algorithm", "ids",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "no task tree found" in captured.err
+
+
 def test_retrieve_ids_not_found_work_does_not_grow_with_max_depth(capsys):
     reasons = []
     for max_depth in (50, 5000):

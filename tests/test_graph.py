@@ -5,7 +5,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foon import (
@@ -20,9 +20,11 @@ from foon import (
     TaskTree,
     build_graph,
     normalize,
+    parse_foon,
+    serialize_foon,
 )
 
-from helpers import load_universe
+from helpers import FIXTURE_NAMES, fixture_path, load_universe, random_universe
 
 
 def test_normalize_collapses_case_and_whitespace():
@@ -54,6 +56,21 @@ def test_state_contents_normalize_and_dedup():
     assert state.contents == frozenset({"ice"})
 
 
+def test_state_rejects_commas_in_contents_names():
+    # "{a,b}" would read back as the two names a and b.
+    with pytest.raises(ValueError):
+        StateDescriptor("contains", contents=frozenset({"a,b"}))
+
+
+def test_object_node_stores_in_motion_as_int():
+    node = ObjectNode("cup", in_motion=True)
+    assert type(node.in_motion) is int
+    unit = FunctionalUnit((node,), Motion("lift"), (ObjectNode("mug"),))
+    assert unit.to_text().startswith("O\tcup\t1\n")
+    units, diagnostics = parse_foon(serialize_foon([unit]))
+    assert units == [unit] and not diagnostics
+
+
 def test_object_node_normalizes_and_validates():
     node = ObjectNode("  Chopping  Board ", in_motion=1)
     assert node.name == "chopping board"
@@ -75,6 +92,36 @@ def test_canonical_key_examples():
     cup = ObjectNode("cup", frozenset({StateDescriptor("contains", contents=frozenset({"ice"}))}))
     assert cup.key == "cup|contains{ice}"
     assert ObjectNode("chopping board").key == "chopping board|"
+
+
+def test_canonical_key_escapes_reserved_characters():
+    assert ObjectNode("a|b").key == "a\\|b|"
+    state = StateDescriptor("x+y", container="[c]")
+    assert ObjectNode("p\\q", frozenset({state})).key == "p\\\\q|x\\+y[\\[c\\]]"
+    contents = StateDescriptor("holds", contents=frozenset({"{a}", "b"}))
+    assert contents.serial() == "holds{\\{a\\},b}"
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (ObjectNode("a|b"), ObjectNode("a", frozenset({StateDescriptor("b|")}))),
+        (
+            ObjectNode("flour", frozenset({StateDescriptor("dry+sifted")})),
+            ObjectNode("flour", frozenset({StateDescriptor("dry"), StateDescriptor("sifted")})),
+        ),
+        (
+            ObjectNode("s", frozenset({StateDescriptor("in[a]")})),
+            ObjectNode("s", frozenset({StateDescriptor("in", container="a")})),
+        ),
+        (
+            ObjectNode("s", frozenset({StateDescriptor("has{a}")})),
+            ObjectNode("s", frozenset({StateDescriptor("has", contents=frozenset({"a"}))})),
+        ),
+    ],
+)
+def test_different_nodes_never_share_a_key(left, right):
+    assert left.key != right.key
 
 
 def test_canonical_key_ignores_in_motion_flag():
@@ -101,6 +148,17 @@ def test_motion_normalizes_label():
         Motion("   ")
 
 
+@pytest.mark.parametrize("extra", ["a\tb", "a\nb", "a\r", "\u2028"])
+def test_motion_rejects_extras_the_format_cannot_carry(extra):
+    # A tab would read back as two fields, a line break as two lines.
+    with pytest.raises(ValueError):
+        Motion("stir", ("slowly", extra))
+
+
+def test_motion_keeps_extras_verbatim():
+    assert Motion("stir", (" Slowly ", "")).extras == (" Slowly ", "")
+
+
 def _unit(name_in, motion, name_out, index=0):
     return FunctionalUnit(
         (ObjectNode(name_in),), Motion(motion), (ObjectNode(name_out),), index
@@ -119,18 +177,101 @@ def test_unit_keys_are_stored_and_survive_copies():
     ice = ObjectNode("Ice", frozenset({StateDescriptor("in", container="tray")}))
     full = ObjectNode("cup", frozenset({StateDescriptor("contains", contents={"ice"})}))
     unit = FunctionalUnit((ice, ObjectNode("cup")), Motion("pour"), (full,))
-    assert unit.input_keys() == ("ice|in[tray]", "cup|")
-    assert unit.output_keys() == ("cup|contains{ice}",)
+    assert unit.input_keys == ("ice|in[tray]", "cup|")
+    assert unit.output_keys == ("cup|contains{ice}",)
     pickled = pickle.loads(pickle.dumps(unit))
     assert pickled == unit
     for copy in (pickled, dataclasses.replace(unit, source_index=3)):
-        assert copy.input_keys() == unit.input_keys()
-        assert copy.output_keys() == unit.output_keys()
-    assert "_input_keys" not in repr(unit)
+        assert copy.input_keys == unit.input_keys
+        assert copy.output_keys == unit.output_keys
+    assert "input_keys" not in repr(unit)
 
 
 def test_unit_text_excludes_source_index():
     assert _unit("a", "mix", "b", 0).to_text() == _unit("a", "mix", "b", 7).to_text()
+
+
+def test_units_are_equal_by_content_whatever_their_source_index():
+    first, second = _unit("a", "mix", "b", 0), _unit("a", "mix", "b", 7)
+    assert first == second and hash(first) == hash(second)
+    assert first != _unit("a", "chop", "b", 0)
+
+
+# Every reserved character, in small alphabets and in texts that would make
+# keys collide without escaping, so independent draws often meet.
+_TEXT = "ab |+[]{}\\,"
+_CONFUSABLE = ["a", "b", "a|b", "b|", "a+b", "a[b]", "a{b}", "a\\", "\\|"]
+_items = st.one_of(
+    st.sampled_from(_CONFUSABLE),
+    st.text(_TEXT.replace(",", ""), min_size=1, max_size=2).filter(normalize),
+)
+_names = st.one_of(_items, st.text(_TEXT, min_size=1, max_size=3).filter(normalize))
+_states = st.one_of(
+    st.builds(StateDescriptor, _names),
+    st.builds(StateDescriptor, _names, container=_names),
+    st.builds(StateDescriptor, _names, contents=st.frozensets(_items, min_size=1, max_size=2)),
+)
+_nodes = st.builds(
+    ObjectNode, _names, st.frozensets(_states, max_size=2), st.sampled_from([0, 1, False, True])
+)
+_units = st.builds(
+    FunctionalUnit,
+    st.lists(_nodes, min_size=1, max_size=2),
+    st.builds(Motion, _names, st.lists(st.text(_TEXT, max_size=2), max_size=2)),
+    st.lists(_nodes, min_size=1, max_size=2),
+    st.integers(0, 9),
+)
+
+
+@st.composite
+def _unit_pairs(draw):
+    """A unit and a unit that is often equal to it by content."""
+    unit = draw(_units)
+    how = draw(st.sampled_from(["independent", "reindexed", "reparsed"]))
+    if how == "independent":
+        return unit, draw(_units)
+    if how == "reindexed":
+        return unit, dataclasses.replace(unit, source_index=unit.source_index + 1)
+    units, _ = parse_foon(unit.to_text())
+    return unit, units[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_pairs())
+def test_unit_equality_is_equality_of_text(pair):
+    left, right = pair
+    assert (left == right) == (left.to_text() == right.to_text())
+    if left == right:
+        assert hash(left) == hash(right)
+
+
+def _unescaped(state):
+    if state.container is not None:
+        return f"{state.label}[{state.container}]"
+    if state.contents is not None:
+        return state.label + "{" + ",".join(sorted(state.contents)) + "}"
+    return state.label
+
+
+@st.composite
+def _node_pairs(draw):
+    """A node and one that is equal to it, or keys like it without escaping."""
+    node = draw(_nodes)
+    how = draw(st.sampled_from(["independent", "restated", "merged"]))
+    if how == "independent":
+        return node, draw(_nodes)
+    if how == "restated" or not node.states:
+        return node, ObjectNode(node.name.upper(), frozenset(node.states), 1 - node.in_motion)
+    merged = "+".join(sorted(_unescaped(state) for state in node.states))
+    return node, ObjectNode(node.name, frozenset({StateDescriptor(merged)}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_pairs())
+def test_node_keys_are_equal_exactly_for_equal_names_and_states(pair):
+    left, right = pair
+    same = (left.name, left.states) == (right.name, right.states)
+    assert (left.key == right.key) == same
 
 
 def test_unit_text_is_canonical():
@@ -194,18 +335,18 @@ def test_build_graph_indexes_producers_in_file_order():
     assert [unit.source_index for unit in producers] == [0, 1]
     assert [unit.motion.label for unit in producers] == ["pour", "scoop"]
     # Inputs that nothing produces appear in the units but not in producers.
-    assert "ice|in[tray]" in {key for unit in graph.units for key in unit.input_keys()}
+    assert "ice|in[tray]" in {key for unit in graph.units for key in unit.input_keys}
     assert "ice|in[tray]" not in graph.producers
 
 
 def test_build_graph_catalog_covers_every_key():
     graph = load_universe("diamond").graph
     for unit in graph.units:
-        for key in unit.output_keys():
+        for key in unit.output_keys:
             assert unit in graph.producers[key]
     for key, units in graph.producers.items():
         for unit in units:
-            assert key in unit.output_keys()
+            assert key in unit.output_keys
 
 
 def test_build_graph_drops_content_duplicates():
@@ -215,7 +356,48 @@ def test_build_graph_drops_content_duplicates():
     graph = build_graph([first, clone, other])
     assert len(graph.units) == 2
     assert graph.duplicates_dropped == 1
-    assert graph.producers["b|"] == (first,)
+    assert len(graph.producers["b|"]) == 1 and graph.producers["b|"][0] is first
+
+
+def _kept_by_text(units):
+    """The earlier duplicate rule: keep the first unit of each rendered text."""
+    kept, seen = [], set()
+    for unit in units:
+        if unit.to_text() not in seen:
+            seen.add(unit.to_text())
+            kept.append(unit)
+    return kept
+
+
+def _with_duplicates(units, rng):
+    """Every second unit re-indexed and some reparsed, shuffled in."""
+    copies = list(units)
+    for position, unit in enumerate(units):
+        if position % 2:
+            copies.append(dataclasses.replace(unit, source_index=1000 + position))
+        if rng.random() < 0.2:
+            reparsed, _ = parse_foon(unit.to_text())
+            copies.append(dataclasses.replace(reparsed[0], source_index=2000 + position))
+    rng.shuffle(copies)
+    return copies
+
+
+def _universes_with_duplicates():
+    for name in FIXTURE_NAMES:
+        units, _ = parse_foon(fixture_path(name, "foon").read_text())
+        yield _with_duplicates(units, random.Random(name))
+    for seed in range(300):
+        graph, _, _, _ = random_universe(random.Random(seed))
+        yield _with_duplicates(graph.units, random.Random(seed))
+
+
+def test_build_graph_keeps_the_units_the_text_rule_keeps():
+    for units in _universes_with_duplicates():
+        graph = build_graph(units)
+        expected = _kept_by_text(units)
+        assert len(graph.units) == len(expected)
+        assert all(got is want for got, want in zip(graph.units, expected))
+        assert graph.duplicates_dropped == len(units) - len(expected)
 
 
 def test_build_graph_rejects_empty_universe():
