@@ -1,5 +1,12 @@
-"""Parser fidelity, error recovery, round-tripping, and DOT export."""
+"""Parser fidelity, error recovery, round-tripping, and DOT export.
 
+Run as a script to regenerate the parse-mutation snapshot after an intended
+change to what the parsers accept or report:
+
+    PYTHONPATH=src python tests/test_io.py
+"""
+
+import json
 import random
 
 import pytest
@@ -22,7 +29,7 @@ from foon import (
     serialize_foon,
 )
 
-from helpers import fixture_path, load_universe
+from helpers import FIXTURE_DIR, FIXTURE_NAMES, fixture_path, load_universe
 
 
 def _errors(diagnostics):
@@ -359,3 +366,91 @@ def test_parse_foon_never_raises_on_random_bytes():
         units, diagnostics = parse_foon(blob)
         assert isinstance(units, list)
         assert isinstance(diagnostics, list)
+
+
+# --- snapshot of every parser's output on mutated fixtures ------------------
+
+PARSE_SNAPSHOT = FIXTURE_DIR / "golden" / "parse_mutations.json"
+# Lines that probe the tag and field rules.  " \tx" has the empty tag: the
+# tag is the text before the first tab, stripped.
+_ODD_LINES = [
+    " \tx", "\tO\tcup\t0", " O\tcup\t0", "O \tcup\t0", "O\u00a0\tcup\t0",
+    "\u2003S\twhole", "\x1fM\tmix", "O", "S", "M", "M\t", "M\t \tx", "S\t\u00a0",
+    "O\t\u3000\t0", "O\tcup\t2", "O\tcup", "S\tin\t[x", "S\tc\t{a,,b}", "S\tc\t{a, b }",
+    "S\tin\t[tray]\textra", "x\ty", "OO\tcup\t0", "o\tcup\t0", "//", "// x", "\u00a0//",
+    "O\tCup\t1", "O\t a\u2009b \t1", "M\tchop\t\u00a0\tx", "S\tWHOLE ",
+]
+_NOISE = [" ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f", "\x85", "[", "]", "{", "}", ",", "|", "+", "0", "1", "O", "S", "M", "/"]
+
+
+def _mutate(text, rng):
+    """Drop, duplicate, copy, insert, garble or indent lines, then pick line ends."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice(["drop", "duplicate", "copy", "insert", "garble", "indent"])
+        at = rng.randrange(len(lines) + 1)
+        if op == "insert" or not lines:
+            lines.insert(at, rng.choice(_ODD_LINES))
+            continue
+        at = min(at, len(lines) - 1)
+        if op == "drop":
+            del lines[at]
+        elif op == "duplicate":
+            lines.insert(at, lines[at])
+        elif op == "copy":
+            lines[rng.randrange(len(lines) + 1):0] = lines[at:at + rng.randint(1, 6)]
+        elif op == "garble":
+            line = lines[at]
+            spot = rng.randrange(len(line) + 1)
+            lines[at] = line[:spot] + rng.choice(_NOISE) + line[spot + rng.randint(0, 1):]
+        else:
+            lines[at] = rng.choice(_NOISE[:6]) + lines[at]
+    return rng.choice(["\n", "\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+
+
+def _parse_all(text):
+    """What each parser makes of one text: units and diagnostics, keys or errors."""
+    units, diagnostics = parse_foon(text)
+    record = {
+        "diagnostics": [str(d) for d in diagnostics],
+        "units": [[unit.source_index, unit.to_text()] for unit in units],
+    }
+    for kind, parse in (
+        ("kitchen", lambda t: [node.key for node in parse_kitchen(t)]),
+        ("goal", lambda t: parse_goal(t).key),
+    ):
+        try:
+            record[kind] = parse(text)
+        except ParseError as exc:
+            record[kind] = f"ParseError: {exc}"
+    return record
+
+
+def _mutation_texts():
+    rng = random.Random(8)
+    for fixture in FIXTURE_NAMES:
+        for kind in ("foon", "kitchen", "goal"):
+            original = fixture_path(fixture, kind).read_text()
+            yield f"{fixture}.{kind}", original
+            for index in range(25):
+                yield f"{fixture}.{kind}#{index}", _mutate(original, rng)
+
+
+def test_parsers_match_the_mutation_snapshot():
+    stored = json.loads(PARSE_SNAPSHOT.read_text(encoding="utf-8"))
+    cases = list(_mutation_texts())
+    assert [case["name"] for case in stored] == [name for name, _ in cases]
+    for case, (name, text) in zip(stored, cases):
+        assert case["text"] == text, name
+        assert _parse_all(text) == case["parsed"], name
+
+
+if __name__ == "__main__":
+    snapshot = [
+        {"name": name, "text": text, "parsed": _parse_all(text)}
+        for name, text in _mutation_texts()
+    ]
+    PARSE_SNAPSHOT.write_text(
+        json.dumps(snapshot, indent=1, ensure_ascii=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {PARSE_SNAPSHOT.relative_to(FIXTURE_DIR)}: {len(snapshot)} cases")
