@@ -31,7 +31,11 @@ def _escape(text: str) -> str:
     return text if _RESERVED.isdisjoint(text) else text.translate(_KEY_ESCAPES)
 
 
-@dataclass(frozen=True)
+# Sets a frozen field; writing to __dict__ instead would slow every later read.
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class StateDescriptor:
     """One state annotation on an object node.
 
@@ -42,37 +46,37 @@ class StateDescriptor:
     """
 
     label: str
-    container: str | None = None
-    contents: frozenset[str] | None = None
+    container: str | None
+    contents: frozenset[str] | None
+    _serial: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        label = normalize(self.label)
+    def __init__(
+        self, label: str, container: str | None = None, contents: frozenset[str] | None = None
+    ) -> None:
+        label = normalize(label)
         if not label:
             raise ValueError("state label must be non-empty")
-        if self.container is not None and self.contents is not None:
+        if container is not None and contents is not None:
             raise ValueError("a state may carry a container or contents, not both")
-        container = None
-        if self.container is not None:
-            container = normalize(self.container)
+        serial = _escape(label)
+        if container is not None:
+            container = normalize(container)
             if not container:
                 raise ValueError("container name must be non-empty")
-        contents = None
-        if self.contents is not None:
-            contents = frozenset(normalize(item) for item in self.contents)
+            serial += f"[{_escape(container)}]"
+        elif contents is not None:
+            contents = frozenset(normalize(item) for item in contents)
             if not contents or any(not item or "," in item for item in contents):
                 raise ValueError("contents must be a non-empty set of names without ','")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "container", container)
-        object.__setattr__(self, "contents", contents)
+            serial += "{" + ",".join(sorted(map(_escape, contents))) + "}"
+        _setattr(self, "label", label)
+        _setattr(self, "container", container)
+        _setattr(self, "contents", contents)
+        _setattr(self, "_serial", serial)
 
     def serial(self) -> str:
-        """Canonical single-token form for node keys; ``\\|+[]{}`` are escaped."""
-        label = _escape(self.label)
-        if self.container is not None:
-            return f"{label}[{_escape(self.container)}]"
-        if self.contents is not None:
-            return label + "{" + ",".join(sorted(map(_escape, self.contents))) + "}"
-        return label
+        """Canonical single-token form for node keys, computed once; ``\\|+[]{}`` escaped."""
+        return self._serial
 
     def display(self) -> str:
         """Reader-friendly form, used in DOT labels."""
@@ -83,7 +87,7 @@ class StateDescriptor:
         return self.label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObjectNode:
     """An object in a particular set of states.
 
@@ -92,26 +96,35 @@ class ObjectNode:
     ``onions|chopped+in[chopping board]``, ``cup|contains{ice}``; a
     stateless node keys as ``chopping board|``.  ``\\|+[]{}`` inside names are
     backslash-escaped (``a|b`` keys as ``a\\|b|``), so two nodes share a key
-    exactly when their names and state sets are equal.  ``in_motion`` is the
-    0/1 flag on object lines, kept for round-tripping but not in the key.
+    exactly when their names and state sets are equal.  A node hashes by its
+    key, which equal nodes share.  ``in_motion`` is the 0/1 flag on object
+    lines, kept for round-tripping but not in the key.
     """
 
     name: str
-    states: frozenset[StateDescriptor] = frozenset()
-    in_motion: int = 0
+    states: frozenset[StateDescriptor]
+    in_motion: int
     key: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        name = normalize(self.name)
+    def __init__(
+        self, name: str, states: frozenset[StateDescriptor] = frozenset(), in_motion: int = 0
+    ) -> None:
+        name = normalize(name)
         if not name:
             raise ValueError("object name must be non-empty")
-        if self.in_motion not in (0, 1):
+        if in_motion not in (0, 1):
             raise ValueError("in-motion flag must be 0 or 1")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "in_motion", int(self.in_motion))
-        serials = "+".join(sorted(state.serial() for state in self.states))
-        object.__setattr__(self, "key", f"{_escape(name)}|{serials}")
+        states = frozenset(states)
+        serials = [state._serial for state in states]
+        if len(serials) > 1:
+            serials.sort()
+        _setattr(self, "name", name)
+        _setattr(self, "states", states)
+        _setattr(self, "in_motion", int(in_motion))
+        _setattr(self, "key", f"{_escape(name)}|{'+'.join(serials)}")
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def sorted_states(self) -> tuple[StateDescriptor, ...]:
         return tuple(sorted(self.states, key=StateDescriptor.serial))
@@ -148,31 +161,40 @@ def _node_lines(node: ObjectNode) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FunctionalUnit:
     """Input object nodes, one motion, output object nodes.
 
     Units are equal, and hash equal, when their inputs, motion and outputs
     are; ``source_index`` (the unit's position in its file) is not compared.
-    ``input_keys`` and ``output_keys`` are the nodes' keys, stored once.
+    Each field, ``input_keys`` and ``output_keys`` (the nodes' keys) too, is set once.
     """
 
     inputs: tuple[ObjectNode, ...]
     motion: Motion
     outputs: tuple[ObjectNode, ...]
-    source_index: int = field(default=0, compare=False)
+    source_index: int = field(compare=False)
     input_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
     output_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        if not self.inputs:
+    def __init__(
+        self,
+        inputs: tuple[ObjectNode, ...],
+        motion: Motion,
+        outputs: tuple[ObjectNode, ...],
+        source_index: int = 0,
+    ) -> None:
+        inputs, outputs = tuple(inputs), tuple(outputs)
+        if not inputs:
             raise ValueError("a functional unit needs at least one input object")
-        if not self.outputs:
+        if not outputs:
             raise ValueError("a functional unit needs at least one output object")
-        object.__setattr__(self, "input_keys", tuple(node.key for node in self.inputs))
-        object.__setattr__(self, "output_keys", tuple(node.key for node in self.outputs))
+        _setattr(self, "inputs", inputs)
+        _setattr(self, "motion", motion)
+        _setattr(self, "outputs", outputs)
+        _setattr(self, "source_index", source_index)
+        _setattr(self, "input_keys", tuple([node.key for node in inputs]))
+        _setattr(self, "output_keys", tuple([node.key for node in outputs]))
 
     def to_text(self) -> str:
         """The unit's block in the file format (ends with a newline, no separator).

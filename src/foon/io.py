@@ -15,10 +15,11 @@ stray tabs) is tolerated, and a final unit without a closing separator is
 accepted.  Kitchen and goal files reuse the object-block syntax only.
 
 One object-block reader serves all three kinds of file.  Within one call it
-parses each distinct O, S and M line once, and every copy of a block (its O
-line plus the S lines that parsed, as read) shares one ObjectNode.  A line
-that fails to parse is never memoized, so each copy of it is reported at its
-own line number.
+parses each distinct O, S and M line once, builds each distinct run of a
+block's S lines into one state set, and every copy of a block (its O line
+plus the S lines that parsed, as read) shares one ObjectNode.  A line that
+fails to parse is never memoized, so each copy of it is reported at its own
+line number.
 """
 
 from __future__ import annotations
@@ -97,17 +98,19 @@ class _Reader:
     """Reads object blocks, and assembles universe files' blocks into units.
 
     ``open`` starts a block at an O line and ``add_state`` adds an S line to
-    it.  A closed block's node joins the open unit's inputs, or its outputs
-    once the unit has a motion; kitchen and goal files have no motion lines,
-    so all their nodes are ``inputs``.  A malformed line marks the current
-    unit broken; the unit is dropped at the next separator without a second
-    diagnostic, and parsing continues.
+    it; ``close`` is called only while a block is open.  A closed block's
+    node joins the open unit's inputs, or its outputs once the unit has a
+    motion; kitchen and goal files have no motion lines, so all their nodes
+    are ``inputs``.  A malformed line marks the current unit broken; the
+    unit is dropped at the next separator without a second diagnostic, and
+    parsing continues.  One reader, and its memos, serve one call.
     """
 
     def __init__(self) -> None:
         self.heads: dict[str, tuple[str, int]] = {}  # raw O line -> name, flag
         self.states: dict[str, StateDescriptor] = {}
         self.motions: dict[str, Motion] = {}
+        self.state_sets: dict[tuple[str, ...], frozenset[StateDescriptor]] = {}
         self.nodes: dict[tuple[str, ...], ObjectNode] = {}  # a block's raw lines -> node
         self.lines: list[str] = []  # the open block's raw lines; empty if none
         self.start = 0  # the open block's O line number
@@ -121,7 +124,8 @@ class _Reader:
     def open(self, line: str, lineno: int) -> None:
         if line not in self.heads:
             self.heads[line] = _parse_object_line(_split_fields(line), lineno)
-        self.close()
+        if self.lines:
+            self.close()
         self.lines, self.start = [line], lineno
 
     def add_state(self, line: str, lineno: int) -> bool:
@@ -134,15 +138,14 @@ class _Reader:
         return True
 
     def close(self) -> None:
-        if not self.lines:
-            return
         text = tuple(self.lines)
         node = self.nodes.get(text)
         if node is None:
             name, flag = self.heads[text[0]]
-            node = self.nodes[text] = ObjectNode(
-                name, frozenset(map(self.states.__getitem__, text[1:])), flag
-            )
+            lines = text[1:]
+            if lines not in self.state_sets:
+                self.state_sets[lines] = frozenset(map(self.states.__getitem__, lines))
+            node = self.nodes[text] = ObjectNode(name, self.state_sets[lines], flag)
         self.lines = []
         if self.motion is None:
             self.inputs.append(node)
@@ -150,7 +153,8 @@ class _Reader:
             self.outputs.append((node, self.start))
 
     def set_motion(self, line: str, lineno: int) -> None:
-        self.close()
+        if self.lines:
+            self.close()
         motion = self.motions.get(line)
         if motion is None:
             fields = _split_fields(line)
@@ -166,7 +170,8 @@ class _Reader:
         self.motion = motion
 
     def finish_unit(self, lineno: int) -> None:
-        self.close()
+        if self.lines:
+            self.close()
         pending = bool(self.inputs or self.outputs or self.motion is not None)
         if pending and not self.broken:
             if self.motion is None:
@@ -258,7 +263,8 @@ def _parse_object_blocks(text: str, source: str) -> list[ObjectNode]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line or line.startswith("//"):
-            reader.close()
+            if reader.lines:
+                reader.close()
             continue
         tag = line.partition("\t")[0].strip()
         if tag == "O":
@@ -271,7 +277,8 @@ def _parse_object_blocks(text: str, source: str) -> list[ObjectNode]:
             raise ParseError(f"motion line not allowed in a {source} file", lineno)
         else:
             raise ParseError(f"unrecognized line tag {tag!r}", lineno)
-    reader.close()
+    if reader.lines:
+        reader.close()
     return reader.inputs
 
 

@@ -1,5 +1,6 @@
 """Core model: normalization, node identity, indexing, availability."""
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -187,6 +188,51 @@ def test_unit_keys_are_stored_and_survive_copies():
     assert "input_keys" not in repr(unit)
 
 
+_NODE = ObjectNode(
+    "Ice", frozenset({StateDescriptor("in", container="Tray"), StateDescriptor("cold")}), 1
+)
+_VALUES = [
+    StateDescriptor("Whole"),
+    StateDescriptor("in", container="a|b"),
+    StateDescriptor("holds", contents=frozenset({"Ice", "{x}"})),
+    ObjectNode("Cup"),
+    _NODE,
+    Motion("Pour", ("slowly", "")),
+    FunctionalUnit(
+        (_NODE, ObjectNode("cup")),
+        Motion("pour"),
+        (ObjectNode("cup", frozenset({StateDescriptor("full")})),),
+        4,
+    ),
+]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda value: type(value).__name__)
+def test_value_objects_are_frozen_and_copy_with_their_stored_fields(value):
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+    copies = [pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)]
+    for twin in [*copies, dataclasses.replace(value)]:
+        assert twin == value and hash(twin) == hash(value)
+        assert vars(twin) == vars(value)  # every stored field, keys and serials too
+
+
+def test_replace_recomputes_what_a_node_stores():
+    plain = dataclasses.replace(_NODE, name="Water", states=frozenset())
+    assert (plain.name, plain.key) == ("water", "water|")
+    with pytest.raises(ValueError):
+        dataclasses.replace(_NODE, in_motion=2)
+
+
+def test_rebuilding_a_parsed_node_gives_the_same_node_and_key():
+    for name in FIXTURE_NAMES:
+        units, _ = parse_foon(fixture_path(name, "foon").read_text())
+        for node in (node for unit in units for node in unit.inputs + unit.outputs):
+            rebuilt = ObjectNode(node.name, node.states, node.in_motion)
+            assert rebuilt == node and rebuilt.key == node.key and hash(rebuilt) == hash(node)
+
+
 def test_unit_text_excludes_source_index():
     assert _unit("a", "mix", "b", 0).to_text() == _unit("a", "mix", "b", 7).to_text()
 
@@ -261,7 +307,8 @@ def _node_pairs(draw):
     if how == "independent":
         return node, draw(_nodes)
     if how == "restated" or not node.states:
-        return node, ObjectNode(node.name.upper(), frozenset(node.states), 1 - node.in_motion)
+        flag = draw(st.sampled_from([node.in_motion, 1 - node.in_motion]))
+        return node, ObjectNode(node.name.upper(), frozenset(node.states), flag)
     merged = "+".join(sorted(_unescaped(state) for state in node.states))
     return node, ObjectNode(node.name, frozenset({StateDescriptor(merged)}))
 
@@ -272,6 +319,8 @@ def test_node_keys_are_equal_exactly_for_equal_names_and_states(pair):
     left, right = pair
     same = (left.name, left.states) == (right.name, right.states)
     assert (left.key == right.key) == same
+    if left == right:
+        assert hash(left) == hash(right)
 
 
 def test_unit_text_is_canonical():

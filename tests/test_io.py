@@ -380,7 +380,10 @@ _ODD_LINES = [
     "S\tin\t[tray]\textra", "x\ty", "OO\tcup\t0", "o\tcup\t0", "//", "// x", "\u00a0//",
     "O\tCup\t1", "O\t a\u2009b \t1", "M\tchop\t\u00a0\tx", "S\tWHOLE ",
 ]
-_NOISE = [" ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f", "\x85", "[", "]", "{", "}", ",", "|", "+", "0", "1", "O", "S", "M", "/"]
+_NOISE = [
+    " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1f",  # the first six indent lines
+    "\x85", "[", "]", "{", "}", ",", "|", "+", "0", "1", "O", "S", "M", "/",
+]
 
 
 def _mutate(text, rng):
