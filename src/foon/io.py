@@ -98,12 +98,12 @@ class _Reader:
     """Reads object blocks, and assembles universe files' blocks into units.
 
     ``open`` starts a block at an O line and ``add_state`` adds an S line to
-    it; ``close`` is called only while a block is open.  A closed block's
-    node joins the open unit's inputs, or its outputs once the unit has a
-    motion; kitchen and goal files have no motion lines, so all their nodes
-    are ``inputs``.  A malformed line marks the current unit broken; the
-    unit is dropped at the next separator without a second diagnostic, and
-    parsing continues.  One reader, and its memos, serve one call.
+    it.  A closed block's node joins the open unit's inputs, or its outputs
+    once the unit has a motion; kitchen and goal files have no motion lines,
+    so all their nodes are ``inputs``.  A malformed line marks the current
+    unit broken; the unit is dropped at the next separator without a second
+    diagnostic, and parsing continues.  One reader, and its memos, serve one
+    call.
     """
 
     def __init__(self) -> None:
@@ -124,8 +124,7 @@ class _Reader:
     def open(self, line: str, lineno: int) -> None:
         if line not in self.heads:
             self.heads[line] = _parse_object_line(_split_fields(line), lineno)
-        if self.lines:
-            self.close()
+        self.close()
         self.lines, self.start = [line], lineno
 
     def add_state(self, line: str, lineno: int) -> bool:
@@ -138,6 +137,8 @@ class _Reader:
         return True
 
     def close(self) -> None:
+        if not self.lines:
+            return
         text = tuple(self.lines)
         node = self.nodes.get(text)
         if node is None:
@@ -153,8 +154,7 @@ class _Reader:
             self.outputs.append((node, self.start))
 
     def set_motion(self, line: str, lineno: int) -> None:
-        if self.lines:
-            self.close()
+        self.close()
         motion = self.motions.get(line)
         if motion is None:
             fields = _split_fields(line)
@@ -170,8 +170,7 @@ class _Reader:
         self.motion = motion
 
     def finish_unit(self, lineno: int) -> None:
-        if self.lines:
-            self.close()
+        self.close()
         pending = bool(self.inputs or self.outputs or self.motion is not None)
         if pending and not self.broken:
             if self.motion is None:
@@ -263,8 +262,7 @@ def _parse_object_blocks(text: str, source: str) -> list[ObjectNode]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line or line.startswith("//"):
-            if reader.lines:
-                reader.close()
+            reader.close()
             continue
         tag = line.partition("\t")[0].strip()
         if tag == "O":
@@ -277,8 +275,7 @@ def _parse_object_blocks(text: str, source: str) -> list[ObjectNode]:
             raise ParseError(f"motion line not allowed in a {source} file", lineno)
         else:
             raise ParseError(f"unrecognized line tag {tag!r}", lineno)
-    if reader.lines:
-        reader.close()
+    reader.close()
     return reader.inputs
 
 
