@@ -29,7 +29,7 @@ from .errors import (
     UnknownGoalError,
 )
 from .evaluate import compare_algorithms, tree_metrics
-from .graph import FoonGraph, MotionProfile, build_graph
+from .graph import FoonGraph, build_graph
 from .io import (
     ERROR,
     export_dot,
@@ -212,10 +212,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     kitchen = parse_kitchen(_read_text(args.kitchen))
     goal = parse_goal(_read_text(args.goal))
     profile = None
-    if args.motions is not None:
-        profile = parse_motion_profile(_read_text(args.motions), default_rate)
-    elif args.default_rate is not None:
-        profile = MotionProfile({}, default_rate)
+    if args.motions is not None or args.default_rate is not None:
+        text = "" if args.motions is None else _read_text(args.motions)
+        profile = parse_motion_profile(text, default_rate)
     config = RetrievalConfig(
         algorithm=args.algorithm,
         max_depth=args.max_depth,

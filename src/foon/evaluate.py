@@ -30,6 +30,8 @@ from .search import (
     retrieve,
 )
 
+ORACLE_CAP = 64  # the most units enumerate_all_task_trees accepts
+
 
 @dataclass(frozen=True)
 class TreeMetrics:
@@ -137,25 +139,21 @@ def enumerate_all_task_trees(
     graph: FoonGraph,
     goal: ObjectNode,
     kitchen: Kitchen,
-    depth_cap: int | None = None,
-    oracle_cap: int = 64,
 ) -> list[TaskTree]:
     """Every distinct task tree for the goal, by exhaustive backtracking.
 
     Follows the retrieval semantics: kitchen satisfaction is forced, each
     key resolves once per tree, placed units may serve their other outputs,
-    and a key may not recur on its own resolution path.  ``depth_cap``
-    bounds the unit-chain depth and defaults to the unit count, which no
-    valid tree can exceed.  Trees are deduplicated as unordered unit sets
-    and returned sorted by size then content.  A kitchen-satisfied goal
-    yields exactly one empty tree.  Enumeration is exponential, so graphs
-    larger than ``oracle_cap`` units are refused.
+    and a key may not recur on its own resolution path.  The unit-chain
+    depth is capped at the unit count, which no valid tree can exceed.
+    Trees are deduplicated as unordered unit sets and returned sorted by
+    size then content.  A kitchen-satisfied goal yields exactly one empty
+    tree.  Enumeration is exponential, so graphs larger than ``ORACLE_CAP``
+    units are refused.
     """
-    if len(graph.units) > oracle_cap:
-        raise OracleCapExceededError(
-            f"universe has {len(graph.units)} units, oracle cap is {oracle_cap}"
-        )
-    cap = len(graph.units) if depth_cap is None else depth_cap
+    cap = len(graph.units)
+    if cap > ORACLE_CAP:
+        raise OracleCapExceededError(f"universe has {cap} units, oracle cap is {ORACLE_CAP}")
     goal_key = goal.key
     producers = graph.producers
 

@@ -42,13 +42,14 @@ class StateDescriptor:
     A state is a bare label ("whole"), a label with a containing object
     ("in [chopping board]"), or a label with a contents list
     ("contains {chopped onion}").  Container and contents are mutually
-    exclusive.  All text is normalized on construction.
+    exclusive.  All text is normalized on construction.  ``serial`` is the
+    canonical single-token form for node keys, with ``\\|+[]{}`` escaped.
     """
 
     label: str
     container: str | None
     contents: frozenset[str] | None
-    _serial: str = field(init=False, repr=False, compare=False)
+    serial: str = field(init=False, repr=False, compare=False)
 
     def __init__(
         self, label: str, container: str | None = None, contents: frozenset[str] | None = None
@@ -72,11 +73,7 @@ class StateDescriptor:
         _setattr(self, "label", label)
         _setattr(self, "container", container)
         _setattr(self, "contents", contents)
-        _setattr(self, "_serial", serial)
-
-    def serial(self) -> str:
-        """Canonical single-token form for node keys, computed once; ``\\|+[]{}`` escaped."""
-        return self._serial
+        _setattr(self, "serial", serial)
 
     def display(self) -> str:
         """Reader-friendly form, used in DOT labels."""
@@ -115,7 +112,7 @@ class ObjectNode:
         if in_motion not in (0, 1):
             raise ValueError("in-motion flag must be 0 or 1")
         states = frozenset(states)
-        serials = [state._serial for state in states]
+        serials = [state.serial for state in states]
         if len(serials) > 1:
             serials.sort()
         _setattr(self, "name", name)
@@ -127,7 +124,7 @@ class ObjectNode:
         return hash(self.key)
 
     def sorted_states(self) -> tuple[StateDescriptor, ...]:
-        return tuple(sorted(self.states, key=StateDescriptor.serial))
+        return tuple(sorted(self.states, key=lambda state: state.serial))
 
 
 @dataclass(frozen=True)
@@ -142,8 +139,13 @@ class Motion:
         if not label:
             raise ValueError("motion label must be non-empty")
         extras = tuple(self.extras)
-        if any("\t" in extra or "".join(extra.splitlines()) != extra for extra in extras):
-            raise ValueError("motion extras may not contain tabs or line breaks")
+        # The parser splits a line at tabs and strips its end and every field, so
+        # tabs, line breaks, edge whitespace and an empty last extra read back changed.
+        if (extras and not extras[-1]) or any(
+            "\t" in extra or extra != extra.strip() or "".join(extra.splitlines()) != extra
+            for extra in extras
+        ):
+            raise ValueError(f"motion extras the parser cannot read back: {extras!r}")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "extras", extras)
 

@@ -8,13 +8,14 @@ is placed at most once; a unit already placed may satisfy further keys it
 outputs without being expanded again.  A subgoal that reappears on its own
 resolution path is a dead end, which bounds the search on cyclic graphs.
 
-The algorithms differ only in candidate order and cutoff.  Iterative
-deepening tries producers in file order under a growing depth limit and
-returns the first complete tree, so the result minimizes the unit-chain
-depth.  Greedy best-first orders producers by a heuristic score (motion
-success rate, descending, or input-object count, ascending; ties fall back
-to file order) with no depth limit, backtracking to the next-best candidate
-when a subtree fails unless backtracking is disabled.
+The algorithms differ only in candidate ranking and cap schedule, which
+``retrieve`` runs through one loop.  Iterative deepening keeps producers in
+file order under caps 0, 1, ... max_depth and returns the first complete
+tree, so the result minimizes the unit-chain depth.  Greedy best-first
+ranks producers by a heuristic score (motion success rate, descending, or
+input-object count, ascending; ties fall back to file order) in one
+uncapped pass, backtracking to the next-best candidate when a subtree fails
+unless backtracking is disabled.
 
 Depth bookkeeping: a kitchen-satisfied key costs 0; a unit's chain depth is
 one more than the deepest of its input resolutions.  Reusing a previously
@@ -217,30 +218,31 @@ def _resolve(
     return steps, cut
 
 
-def _file_order(units: Iterable[FunctionalUnit]) -> _Ranked:
-    return tuple((unit, float(unit.source_index)) for unit in units)
+def _ranking(config: RetrievalConfig) -> _Order:
+    """Each producer with its score, best first.
 
+    ids keeps file order and scores by file position (``sign`` 0);
+    gbfs-inputs ranks by input count, lowest first, and gbfs-success (which
+    requires a motion profile) by motion success rate, highest first, with
+    ties going to the earlier unit in the file.
+    """
+    if config.algorithm == IDS:
+        score, sign = (lambda unit: float(unit.source_index)), 0
+    elif config.algorithm == GBFS_INPUTS:
+        score, sign = (lambda unit: float(len(unit.inputs))), 1
+    elif config.motion_profile is None:
+        raise MissingMotionRateError("gbfs-success needs a motion profile to score candidates")
+    else:
+        rate_for = config.motion_profile.rate_for
+        score, sign = (lambda unit: rate_for(unit.motion.label)), -1
 
-def _greedy_order(config: RetrievalConfig) -> _Order:
-    """Candidate ranking for a greedy algorithm; ties go to file order."""
-    if config.algorithm == GBFS_INPUTS:
+    def rank(units: Iterable[FunctionalUnit]) -> _Ranked:
+        scored = [(unit, score(unit)) for unit in units]
+        if sign:
+            scored.sort(key=lambda pair: (sign * pair[1], pair[0].source_index))
+        return tuple(scored)
 
-        def by_inputs(units: Iterable[FunctionalUnit]) -> _Ranked:
-            scored = [(u, float(len(u.inputs))) for u in units]
-            return tuple(sorted(scored, key=lambda pair: (pair[1], pair[0].source_index)))
-
-        return by_inputs
-    profile = config.motion_profile
-    if profile is None:
-        raise MissingMotionRateError(
-            "gbfs-success needs a motion profile to score candidates"
-        )
-
-    def by_success(units: Iterable[FunctionalUnit]) -> _Ranked:
-        scored = [(u, profile.rate_for(u.motion.label)) for u in units]
-        return tuple(sorted(scored, key=lambda pair: (-pair[1], pair[0].source_index)))
-
-    return by_success
+    return rank
 
 
 def retrieve(
@@ -252,66 +254,48 @@ def retrieve(
 ) -> tuple[TaskTree, RetrievalStats]:
     """Retrieve one task tree for the goal with ``config.algorithm``.
 
-    ``ids`` (the default) runs exhaustive depth-limited passes with limits
-    0, 1, ... max_depth, taking producers left to right in file order, and
-    returns the first complete tree, which therefore has the smallest
-    achievable unit-chain depth.  It stops early after a failed pass that
-    its limit never cut short, since every deeper pass would fail the same
-    way.  The greedy algorithms take the candidate with the highest motion
-    success rate (gbfs-success, which requires a motion profile) or the
-    fewest input objects (gbfs-inputs); ties break toward the earlier unit
-    in the file.  With ``config.backtrack`` (the default) a failed greedy
-    subtree falls through to the next-best candidate; without it the search
-    commits to its first choice.  Pass ``trace`` to record every choice
-    point (for ids, those of every pass, scored by file position).  Raises
+    Runs one ``_resolve`` pass per cap of the algorithm's schedule and
+    returns the first complete tree.  ``ids`` (the default) caps its passes
+    at 0, 1, ... max_depth, so its tree has the smallest achievable
+    unit-chain depth; it stops after a failed pass that its cap never cut
+    short, since every deeper pass would fail the same way.  The greedy
+    algorithms run one uncapped pass; with ``config.backtrack`` (the
+    default) a failed subtree falls through to the next-best candidate,
+    without it the search commits to its first choice.  Pass ``trace`` to
+    record every choice point (for ids, those of every pass).  Raises
     UnknownGoalError for an unknown goal and TaskTreeNotFound when the
     search fails.
     """
     if config is None:
         config = RetrievalConfig()
-    order = _file_order if config.algorithm == IDS else _greedy_order(config)
+    rank = _ranking(config)
     goal_key = goal.key
     if goal_key not in graph.producers and goal_key not in kitchen:
         raise UnknownGoalError(
             f"goal {goal_key!r} is neither produced by any unit nor in the kitchen"
         )
+    greedy = config.algorithm != IDS
+    caps = (float("inf"),) if greedy else range(config.max_depth + 1)
     stats = RetrievalStats()
     ranked: dict[str, _Ranked] = {}
-    if config.algorithm == IDS:
-        for limit in range(config.max_depth + 1):
-            stats.depth_reached = limit
-            steps, cut = _resolve(
-                graph, kitchen.keys, goal_key, cap=limit, order=order, ranked=ranked,
-                backtrack=True, stats=stats, trace=trace,
-            )
-            if steps is not None:
-                return TaskTree(tuple(steps), goal_key, IDS), stats
-            if not cut:
-                bound = "at any depth"
-                break
-        else:
-            bound = f"within depth limit {config.max_depth}"
-        raise TaskTreeNotFound(
-            f"no task tree {bound} after {stats.expanded_units} unit expansions",
-            stats,
+    for cap in caps:
+        steps, cut = _resolve(
+            graph, kitchen.keys, goal_key, cap=cap, order=rank, ranked=ranked,
+            backtrack=config.backtrack or not greedy, stats=stats, trace=trace,
         )
-    steps, _ = _resolve(
-        graph, kitchen.keys, goal_key, cap=float("inf"), order=order, ranked=ranked,
-        backtrack=config.backtrack, stats=stats, trace=trace,
-    )
-    stats.depth_reached = stats.peak_open_set - 1
-    if steps is None:
-        regime = (
-            "every candidate ordering"
-            if config.backtrack
-            else "its first-choice path (backtracking disabled)"
-        )
-        raise TaskTreeNotFound(
-            f"greedy search exhausted {regime}"
-            f" after {stats.expanded_units} unit expansions",
-            stats,
-        )
-    return TaskTree(tuple(steps), goal_key, config.algorithm), stats
+        stats.depth_reached = stats.peak_open_set - 1 if greedy else cap
+        if steps is not None:
+            return TaskTree(tuple(steps), goal_key, config.algorithm), stats
+        if not cut:
+            break
+    if not greedy:
+        bound = f"within depth limit {config.max_depth}" if cut else "at any depth"
+        regime = f"no task tree {bound}"
+    elif config.backtrack:
+        regime = "greedy search exhausted every candidate ordering"
+    else:
+        regime = "greedy search exhausted its first-choice path (backtracking disabled)"
+    raise TaskTreeNotFound(f"{regime} after {stats.expanded_units} unit expansions", stats)
 
 
 def validate_tree(

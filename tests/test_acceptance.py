@@ -55,8 +55,8 @@ def test_criterion_1_parser_fidelity():
     assert unit.motion.label == "chop"
     assert [n.name for n in unit.inputs] == ["onions", "knife", "chopping board"]
     onions_out, knife_out, board_out = unit.outputs
-    assert {s.serial() for s in onions_out.states} == {"chopped", "in[chopping board]"}
-    assert {s.serial() for s in knife_out.states} == {"dirty"}
+    assert {s.serial for s in onions_out.states} == {"chopped", "in[chopping board]"}
+    assert {s.serial for s in knife_out.states} == {"dirty"}
     (board_state,) = board_out.states
     assert board_state.contents == frozenset({"chopped onion"})
     reparsed, rediagnostics = parse_foon(serialize_foon(units))

@@ -21,8 +21,9 @@ from foon import (
     retrieve,
     tree_metrics,
 )
+from foon.evaluate import ORACLE_CAP
 
-from helpers import load_universe, random_universe
+from helpers import cycle_universe, load_universe, random_universe
 
 
 # --- tree_metrics ----------------------------------------------------------
@@ -137,21 +138,12 @@ def test_oracle_enumerates_diamond_routes():
     assert depths == [2, 3]
 
 
-def test_oracle_respects_depth_cap():
-    universe = load_universe("diamond")
-    capped = enumerate_all_task_trees(
-        universe.graph, universe.goal, universe.kitchen, depth_cap=2
-    )
-    assert len(capped) == 1
-    assert tree_metrics(capped[0], kitchen=universe.kitchen).max_chain_depth == 2
-
-
 def test_oracle_refuses_oversized_universes():
-    universe = load_universe("diamond")
-    with pytest.raises(OracleCapExceededError):
-        enumerate_all_task_trees(
-            universe.graph, universe.goal, universe.kitchen, oracle_cap=3
-        )
+    graph, goal, kitchen, _ = cycle_universe(ORACLE_CAP)
+    assert enumerate_all_task_trees(graph, goal, kitchen) == []
+    graph, goal, kitchen, _ = cycle_universe(ORACLE_CAP + 1)
+    with pytest.raises(OracleCapExceededError, match="universe has 65 units, oracle cap is 64"):
+        enumerate_all_task_trees(graph, goal, kitchen)
 
 
 def test_oracle_output_is_sorted_and_deduplicated():

@@ -35,10 +35,10 @@ def test_normalize_collapses_case_and_whitespace():
 
 
 def test_state_serial_forms():
-    assert StateDescriptor("whole").serial() == "whole"
-    assert StateDescriptor("in", container="Chopping  Board").serial() == "in[chopping board]"
+    assert StateDescriptor("whole").serial == "whole"
+    assert StateDescriptor("in", container="Chopping  Board").serial == "in[chopping board]"
     state = StateDescriptor("contains", contents=frozenset({"Salt", "ice "}))
-    assert state.serial() == "contains{ice,salt}"
+    assert state.serial == "contains{ice,salt}"
 
 
 def test_state_rejects_bad_combinations():
@@ -100,7 +100,7 @@ def test_canonical_key_escapes_reserved_characters():
     state = StateDescriptor("x+y", container="[c]")
     assert ObjectNode("p\\q", frozenset({state})).key == "p\\\\q|x\\+y[\\[c\\]]"
     contents = StateDescriptor("holds", contents=frozenset({"{a}", "b"}))
-    assert contents.serial() == "holds{\\{a\\},b}"
+    assert contents.serial == "holds{\\{a\\},b}"
 
 
 @pytest.mark.parametrize(
@@ -149,15 +149,18 @@ def test_motion_normalizes_label():
         Motion("   ")
 
 
-@pytest.mark.parametrize("extra", ["a\tb", "a\nb", "a\r", "\u2028"])
+@pytest.mark.parametrize("extra", ["a\tb", "a\nb", "a\r", "\u2028", " a", "a\u3000", ""])
 def test_motion_rejects_extras_the_format_cannot_carry(extra):
-    # A tab would read back as two fields, a line break as two lines.
+    # A tab would read back as two fields, a line break as two lines; the
+    # parser strips edge whitespace, and with it an empty last field.
     with pytest.raises(ValueError):
         Motion("stir", ("slowly", extra))
 
 
 def test_motion_keeps_extras_verbatim():
-    assert Motion("stir", (" Slowly ", "")).extras == (" Slowly ", "")
+    assert Motion("stir", ("Slowly  now", "", "x")).extras == ("Slowly  now", "", "x")
+    with pytest.raises(ValueError):
+        Motion("stir", (" Slowly ", ""))
 
 
 def _unit(name_in, motion, name_out, index=0):
@@ -197,7 +200,7 @@ _VALUES = [
     StateDescriptor("holds", contents=frozenset({"Ice", "{x}"})),
     ObjectNode("Cup"),
     _NODE,
-    Motion("Pour", ("slowly", "")),
+    Motion("Pour", ("", "slowly")),
     FunctionalUnit(
         (_NODE, ObjectNode("cup")),
         Motion("pour"),
@@ -260,13 +263,34 @@ _states = st.one_of(
 _nodes = st.builds(
     ObjectNode, _names, st.frozensets(_states, max_size=2), st.sampled_from([0, 1, False, True])
 )
+
+
+def _motion_or_none(label, extras):
+    try:
+        return Motion(label, tuple(extras))
+    except ValueError:
+        return None
+
+
+# Extras come from a wider alphabet, so the constructor's refusals are drawn
+# too; a unit is built from the motions it accepts.
+_motions = st.builds(
+    _motion_or_none, _names, st.lists(st.text(_TEXT + "\t\n\u3000", max_size=3), max_size=3)
+).filter(lambda motion: motion is not None)
 _units = st.builds(
     FunctionalUnit,
     st.lists(_nodes, min_size=1, max_size=2),
-    st.builds(Motion, _names, st.lists(st.text(_TEXT, max_size=2), max_size=2)),
+    _motions,
     st.lists(_nodes, min_size=1, max_size=2),
     st.integers(0, 9),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_units)
+def test_every_unit_the_constructors_accept_reads_back_from_its_text(unit):
+    units, _ = parse_foon(serialize_foon([unit]))
+    assert units == [unit]
 
 
 @st.composite

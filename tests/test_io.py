@@ -50,7 +50,7 @@ def test_single_unit_block_parses_exactly():
     assert unit.motion.label == "chop"
     assert [node.name for node in unit.outputs] == ["onions", "knife", "chopping board"]
     onions = unit.outputs[0]
-    assert {s.serial() for s in onions.states} == {"chopped", "in[chopping board]"}
+    assert {s.serial for s in onions.states} == {"chopped", "in[chopping board]"}
     board = unit.outputs[2]
     (state,) = board.states
     assert state.label == "contains"
@@ -257,7 +257,7 @@ def test_parse_kitchen_rejects_motion_lines():
 def test_parse_goal_requires_exactly_one_block():
     goal = parse_goal(fixture_path("chop_onion", "goal").read_text())
     assert goal.name == "onions"
-    assert {s.serial() for s in goal.states} == {"chopped", "in[chopping board]"}
+    assert {s.serial for s in goal.states} == {"chopped", "in[chopping board]"}
     with pytest.raises(ParseError):
         parse_goal("")
     with pytest.raises(ParseError):

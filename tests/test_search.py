@@ -27,7 +27,7 @@ from foon import (
     validate_tree,
 )
 
-from helpers import cycle_universe, load_universe, random_universe
+from helpers import FIXTURE_NAMES, cycle_universe, load_universe, random_universe
 
 
 def _config(universe, algorithm, **overrides):
@@ -93,6 +93,7 @@ def test_ids_respects_max_depth():
     with pytest.raises(TaskTreeNotFound) as caught:
         retrieve(universe.graph, universe.goal, universe.kitchen, config)
     assert caught.value.stats.depth_reached == 1
+    assert caught.value.reason == "no task tree within depth limit 1 after 1 unit expansions"
 
 
 def test_ids_returns_minimum_chain_depth_on_diamond():
@@ -179,17 +180,23 @@ def test_gbfs_backtracks_past_dead_end():
 
 def test_gbfs_without_backtracking_commits_and_fails():
     universe = load_universe("dead_end")
-    config = _config(universe, GBFS_SUCCESS, backtrack=False)
-    with pytest.raises(TaskTreeNotFound) as caught:
-        retrieve(universe.graph, universe.goal, universe.kitchen, config)
-    assert "backtracking disabled" in str(caught.value)
+    for algorithm in (GBFS_SUCCESS, GBFS_INPUTS):
+        config = _config(universe, algorithm, backtrack=False)
+        with pytest.raises(TaskTreeNotFound) as caught:
+            retrieve(universe.graph, universe.goal, universe.kitchen, config)
+        assert caught.value.reason == (
+            "greedy search exhausted its first-choice path (backtracking disabled)"
+            " after 1 unit expansions"
+        )
+        assert str(caught.value) == caught.value.reason
 
 
 def test_gbfs_success_requires_a_profile():
     universe = load_universe("ice_cup")
     config = RetrievalConfig(algorithm=GBFS_SUCCESS, motion_profile=None)
-    with pytest.raises(MissingMotionRateError):
-        retrieve(universe.graph, universe.goal, universe.kitchen, config)
+    for goal in (universe.goal, ObjectNode("teapot")):  # even before the unknown-goal check
+        with pytest.raises(MissingMotionRateError):
+            retrieve(universe.graph, goal, universe.kitchen, config)
 
 
 def test_gbfs_trace_records_ranked_choice_points():
@@ -208,6 +215,39 @@ def test_gbfs_trace_records_ranked_choice_points():
     assert [unit.motion.label for unit, _ in record.candidates] == ["scoop", "pour"]
     assert [score for _, score in record.candidates] == [0.9, 0.6]
     assert record.accepted == 0
+
+
+@pytest.mark.parametrize("algorithm", [GBFS_SUCCESS, GBFS_INPUTS])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_greedy_depth_reached_is_the_deepest_subgoal_request(algorithm, name):
+    universe = load_universe(name)
+    config = _config(universe, algorithm)
+    try:
+        _, stats = retrieve(universe.graph, universe.goal, universe.kitchen, config)
+    except TaskTreeNotFound as miss:  # freeze_thaw
+        stats = miss.stats
+    deepest = {"cold_water": 2, "freeze_thaw": 2, "diamond": 2}.get(name, 1)
+    assert stats.depth_reached == deepest == stats.peak_open_set - 1
+
+
+def test_ids_trace_records_every_pass_scored_by_file_position():
+    universe = load_universe("diamond")
+    trace = []
+    retrieve(universe.graph, universe.goal, universe.kitchen, trace=trace)
+    records = [
+        (r.key, [(unit.motion.label, score) for unit, score in r.candidates], r.accepted)
+        for r in trace
+    ]
+    assert records == [
+        # Pass 0 refuses the goal itself before ranking anything.  Pass 1
+        # ranks the goal's producer, then refuses its inputs at depth 1.
+        ("marzipan|shaped", [("combine", 3.0)], None),
+        # Pass 2: mix needs the ground almonds at depth 2 on top of their
+        # chain of 1, over the cap, so blend makes the paste.
+        ("almonds|ground", [("grind", 0.0)], 0),
+        ("paste|smooth", [("mix", 1.0), ("blend", 2.0)], 1),
+        ("marzipan|shaped", [("combine", 3.0)], 0),
+    ]
 
 
 # --- candidate scores --------------------------------------------------------
@@ -244,6 +284,11 @@ def test_unreachable_goal_raises_not_found(algorithm):
             universe.graph, universe.goal, universe.kitchen, _config(universe, algorithm)
         )
     assert caught.value.stats.peak_open_set >= 1
+    assert caught.value.reason == (
+        "no task tree at any depth after 3 unit expansions"
+        if algorithm == IDS
+        else "greedy search exhausted every candidate ordering after 2 unit expansions"
+    )
 
 
 @pytest.mark.parametrize("length", [3, 10, 100])
