@@ -9,7 +9,7 @@ table) go to stdout or to files named by flags and are byte-identical across
 runs on the same inputs; status and diagnostics go to stderr.  Wall-clock
 timings are only emitted under ``--timings``.  Exit codes: 0 success, 1 no
 task tree found, 2 unreadable or invalid input (including an unknown goal
-and a universe whose chains are too deep for the resolver), 3 usage error.
+and a motion without a success rate), 3 usage error.
 """
 
 from __future__ import annotations
@@ -292,7 +292,6 @@ def main(argv: list[str] | None = None) -> int:
         MissingMotionRateError,
         OSError,
         UnicodeDecodeError,
-        RecursionError,
     ) as problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -30,13 +30,16 @@ limit ``c`` passes under ``c + 1`` as well, so each deeper pass would make
 the same decisions and fail the same way.
 
 The search keys its per-pass maps by strings and unit identity, never by a
-unit's dataclass hash, and ranks each key's producers once per call.
+unit's dataclass hash, and ranks each key's producers once per call into a
+plain tuple of units; scores are paired with candidates only for a trace.
+It resolves over an explicit stack of frames, one per key being expanded,
+so a chain's depth is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import FoonError, MissingMotionRateError, UnknownGoalError
 from .graph import FoonGraph, FunctionalUnit, Kitchen, ObjectNode, TaskTree
@@ -46,9 +49,9 @@ GBFS_SUCCESS = "gbfs-success"
 GBFS_INPUTS = "gbfs-inputs"
 ALGORITHMS = (IDS, GBFS_SUCCESS, GBFS_INPUTS)
 
-# Candidate lists carry (unit, score) pairs so greedy traces can be replayed.
-_Ranked = tuple[tuple[FunctionalUnit, float], ...]
-_Order = Callable[[Iterable[FunctionalUnit]], _Ranked]
+_Units = tuple[FunctionalUnit, ...]
+_Rank = Callable[[_Units], _Units]
+_Score = Callable[[FunctionalUnit], float]
 
 
 @dataclass
@@ -69,7 +72,7 @@ class RetrievalConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.max_depth < 1:
+        if type(self.max_depth) is not int or self.max_depth < 1:
             raise ValueError("max_depth must be a positive integer")
 
 
@@ -103,7 +106,7 @@ class ChoiceRecord:
     """
 
     key: str
-    candidates: _Ranked
+    candidates: tuple[tuple[FunctionalUnit, float], ...]
     accepted: int | None
 
 
@@ -122,8 +125,9 @@ def _resolve(
     goal_key: str,
     *,
     cap: float,
-    order: _Order,
-    ranked: dict[str, _Ranked],
+    rank: _Rank,
+    score: _Score,
+    ranked: dict[str, _Units],
     backtrack: bool,
     stats: RetrievalStats,
     trace: list[ChoiceRecord] | None = None,
@@ -132,8 +136,8 @@ def _resolve(
 
     ``stock`` is the kitchen's key set.  Returns the ordered steps (None when
     the search failed) and whether the cap refused any request.  ``ranked``
-    memoizes ``order`` per key and may be shared by every pass of one
-    retrieval.
+    memoizes ``rank`` per key and may be shared by every pass of one
+    retrieval; ``score`` is called only to fill ``trace``.
     """
     producers = graph.producers
     steps: list[FunctionalUnit] = []
@@ -142,107 +146,143 @@ def _resolve(
     journal: list[tuple[dict, object]] = []  # undo log: (map, entry) pairs
     path: set[str] = set()  # keys currently being expanded
     cut = False  # whether the cap refused a request
-
-    def rollback(steps_mark: int, journal_mark: int) -> None:
-        del steps[steps_mark:]
-        while len(journal) > journal_mark:
-            table, entry = journal.pop()
-            del table[entry]
-
-    def resolve_key(key: str, depth: int) -> int | None:
-        nonlocal cut
-        if depth >= stats.peak_open_set:
-            stats.peak_open_set = depth + 1
-        if key in stock:
-            return 0
-        if key in path:
-            return None
-        cached = resolved.get(key)
-        if cached is not None:
-            if depth + cached <= cap:
-                return cached
-            cut = True
-            return None
-        if depth >= cap:
-            cut = True
-            return None
-        candidates = ranked.get(key)
-        if candidates is None:
-            candidates = ranked[key] = order(producers.get(key, ()))
-        accepted: int | None = None
-        outcome: int | None = None
-        for index, (unit, _score) in enumerate(candidates):
-            if index > 0 and not backtrack:
+    expanded, peak = stats.expanded_units, stats.peak_open_set
+    stack: list[tuple] = []  # the suspended frames, innermost last
+    # The current frame expands ``key``, requested at ``depth``.  ``choices``
+    # yields the candidates not yet tried; candidates[index] is the one being
+    # tried (-1 before the first), inputs[:pos] are its resolved inputs and
+    # ``deepest`` is the longest chain among them.  A failed try rolls steps
+    # and journal back to their marks.  The root frame (key None) stands for
+    # a unit whose one input is the goal.
+    key, depth, candidates, choices, index = None, -1, (), iter(()), 0
+    inputs, pos, deepest, steps_mark, journal_mark = (goal_key,), 0, 0, 0, 0
+    while True:
+        # Resolve inputs[pos:], stopping at the first that fails or needs a
+        # frame of its own.
+        at = depth + 1
+        if at >= peak:
+            peak = at + 1
+        outcome = None
+        for pos in range(pos, len(inputs)):
+            want = inputs[pos]
+            if want in stock:
+                continue
+            if want in path:
                 break
-            reused = placed.get(id(unit))
-            if reused is not None:
-                if depth + reused <= cap:
-                    resolved[key] = reused
-                    journal.append((resolved, key))
-                    accepted, outcome = index, reused
-                    break
+            cached = resolved.get(want)
+            if cached is not None:
+                if at + cached <= cap:
+                    if cached > deepest:
+                        deepest = cached
+                    continue
                 cut = True
-                continue
-            stats.expanded_units += 1
-            steps_mark, journal_mark = len(steps), len(journal)
-            path.add(key)
-            below = resolve_inputs(unit.input_keys, depth + 1)
-            path.discard(key)
-            if below is None:
-                rollback(steps_mark, journal_mark)
-                continue
-            chain = below + 1
-            steps.append(unit)
-            placed[id(unit)] = chain
-            journal.append((placed, id(unit)))
-            resolved[key] = chain
-            journal.append((resolved, key))
-            accepted, outcome = index, chain
+                break
+            if at >= cap:
+                cut = True
+                break
+            found = ranked.get(want)
+            if found is None:
+                found = ranked[want] = rank(producers.get(want, ()))
+            if found:
+                stack.append(
+                    (key, depth, candidates, choices, index, inputs, pos, deepest, steps_mark,
+                     journal_mark)
+                )
+                key, depth, candidates, index = want, at, found, -1
+                choices = iter(found if backtrack else found[:1])
             break
-        if trace is not None and candidates:
-            trace.append(ChoiceRecord(key, candidates, accepted))
-        return outcome
-
-    def resolve_inputs(keys: tuple[str, ...], depth: int) -> int | None:
-        deepest = 0
-        for key in keys:
-            outcome = resolve_key(key, depth)
+        else:
+            if key is None:
+                stats.expanded_units, stats.peak_open_set = expanded, peak
+                return steps, cut
+            path.discard(key)
+            unit = candidates[index]
+            outcome = deepest + 1
+            steps.append(unit)
+            placed[id(unit)] = outcome
+            journal.append((placed, id(unit)))
+            resolved[key] = outcome
+            journal.append((resolved, key))
+        # Settle frames until one has a candidate with inputs to resolve.
+        while True:
             if outcome is None:
-                return None
-            if outcome > deepest:
-                deepest = outcome
-        return deepest
+                if key is None:
+                    stats.expanded_units, stats.peak_open_set = expanded, peak
+                    return None, cut
+                if index >= 0:  # candidates[index] failed: undo its subtree
+                    path.discard(key)
+                    del steps[steps_mark:]
+                    while len(journal) > journal_mark:
+                        table, entry = journal.pop()
+                        del table[entry]
+                for unit in choices:
+                    index += 1
+                    reused = placed.get(id(unit))
+                    if reused is None:
+                        break
+                    if depth + reused <= cap:
+                        resolved[key] = reused
+                        journal.append((resolved, key))
+                        outcome = reused
+                        break
+                    cut = True
+                else:
+                    unit = None  # every candidate failed
+                if outcome is None and unit is not None:  # expand it
+                    expanded += 1
+                    steps_mark, journal_mark = len(steps), len(journal)
+                    path.add(key)
+                    inputs, pos, deepest = unit.input_keys, 0, 0
+                    break
+            if trace is not None:
+                accepted = None if outcome is None else index
+                scored = tuple([(unit, score(unit)) for unit in candidates])
+                trace.append(ChoiceRecord(key, scored, accepted))
+            (key, depth, candidates, choices, index, inputs, pos, deepest, steps_mark,
+             journal_mark) = stack.pop()
+            if outcome is not None:
+                if outcome > deepest:
+                    deepest = outcome
+                pos += 1
+                break
 
-    if resolve_key(goal_key, 0) is None:
-        return None, cut
-    return steps, cut
 
+def _ranking(config: RetrievalConfig) -> tuple[_Rank, _Score]:
+    """Each algorithm's candidate order and the score its traces report.
 
-def _ranking(config: RetrievalConfig) -> _Order:
-    """Each producer with its score, best first.
-
-    ids keeps file order and scores by file position (``sign`` 0);
+    ids keeps the producers in file order and scores by file position;
     gbfs-inputs ranks by input count, lowest first, and gbfs-success (which
     requires a motion profile) by motion success rate, highest first, with
-    ties going to the earlier unit in the file.
+    ties going to the earlier unit in the file.  gbfs-success looks up each
+    motion's rate once per ranking and scores every unit it ranks, a sole
+    producer too, so a missing rate raises as soon as its unit is ranked.
     """
     if config.algorithm == IDS:
-        score, sign = (lambda unit: float(unit.source_index)), 0
-    elif config.algorithm == GBFS_INPUTS:
+        return (lambda units: units), (lambda unit: float(unit.source_index))
+    if config.algorithm == GBFS_INPUTS:
         score, sign = (lambda unit: float(len(unit.inputs))), 1
     elif config.motion_profile is None:
         raise MissingMotionRateError("gbfs-success needs a motion profile to score candidates")
     else:
-        rate_for = config.motion_profile.rate_for
-        score, sign = (lambda unit: rate_for(unit.motion.label)), -1
+        rate_for, rates = config.motion_profile.rate_for, {}
 
-    def rank(units: Iterable[FunctionalUnit]) -> _Ranked:
-        scored = [(unit, score(unit)) for unit in units]
-        if sign:
-            scored.sort(key=lambda pair: (sign * pair[1], pair[0].source_index))
-        return tuple(scored)
+        def score(unit: FunctionalUnit) -> float:
+            label = unit.motion.label
+            rate = rates.get(label)
+            if rate is None:
+                rate = rates[label] = rate_for(label)
+            return rate
 
-    return rank
+        sign = -1
+
+    def rank(units: _Units) -> _Units:
+        if len(units) > 1:
+            return tuple(sorted(units, key=lambda unit: (sign * score(unit), unit.source_index)))
+        for unit in units:
+            score(unit)
+        return units
+
+    return rank, score
 
 
 def retrieve(
@@ -268,7 +308,7 @@ def retrieve(
     """
     if config is None:
         config = RetrievalConfig()
-    rank = _ranking(config)
+    rank, score = _ranking(config)
     goal_key = goal.key
     if goal_key not in graph.producers and goal_key not in kitchen:
         raise UnknownGoalError(
@@ -277,10 +317,10 @@ def retrieve(
     greedy = config.algorithm != IDS
     caps = (float("inf"),) if greedy else range(config.max_depth + 1)
     stats = RetrievalStats()
-    ranked: dict[str, _Ranked] = {}
+    ranked: dict[str, _Units] = {}
     for cap in caps:
         steps, cut = _resolve(
-            graph, kitchen.keys, goal_key, cap=cap, order=rank, ranked=ranked,
+            graph, kitchen.keys, goal_key, cap=cap, rank=rank, score=score, ranked=ranked,
             backtrack=config.backtrack or not greedy, stats=stats, trace=trace,
         )
         stats.depth_reached = stats.peak_open_set - 1 if greedy else cap

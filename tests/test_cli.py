@@ -233,7 +233,7 @@ def test_retrieve_strict_default_rate_only_writes_nothing_to_stdout(tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["retrieve", "compare"])
-def test_chain_too_deep_for_the_resolver_exits_2(command, tmp_path, capsys):
+def test_deep_chain_exits_0_with_every_step(command, tmp_path, capsys):
     nodes = [ObjectNode(f"n{i}") for i in range(601)]
     units = [FunctionalUnit((nodes[i],), Motion("step"), (nodes[i + 1],)) for i in range(600)]
     files = {
@@ -247,13 +247,18 @@ def test_chain_too_deep_for_the_resolver_exits_2(command, tmp_path, capsys):
         path = tmp_path / f"chain.{kind}.txt"
         path.write_text(text)
         args += [f"--{kind}", str(path)]
+    out = tmp_path / "out.json"
+    args += ["--json", str(out), "--max-depth", "600"]
     if command == "retrieve":
         args += ["--algorithm", "gbfs-inputs"]
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    assert main(args) == 0
+    payload = json.loads(out.read_text())
+    if command == "retrieve":
+        assert payload["metrics"]["unit_count"] == 600
+        assert "retrieved a task tree with 600 steps" in capsys.readouterr().err
+    else:
+        runs = payload["algorithms"].values()
+        assert [run["metrics"]["unit_count"] for run in runs] == [600, 600, 600]
 
 
 def test_retrieve_no_backtrack_gives_up(capsys):

@@ -1,6 +1,7 @@
 """Retrieval algorithms: ordering, depth limits, backtracking, termination."""
 
 import random
+import sys
 
 import pytest
 
@@ -264,6 +265,49 @@ def test_success_score_reads_profile():
         MotionProfile(fallback.rates).rate_for(pour.motion.label)
 
 
+def _rated_universe():
+    """Goal ``g`` from kitchen item ``k`` by one "chop" unit, plus a "mystery"
+    unit that makes ``x``, which the goal never needs."""
+    units = [
+        _plain_unit(("k",), "chop", "g", 0),
+        _plain_unit(("k",), "mystery", "x", 1),
+    ]
+    return build_graph(units), Kitchen((ObjectNode("k"),))
+
+
+def test_gbfs_success_raises_when_it_ranks_a_sole_producer_without_a_rate():
+    graph, kitchen = _rated_universe()
+    config = RetrievalConfig(algorithm=GBFS_SUCCESS, motion_profile=MotionProfile({"chop": 0.5}))
+    with pytest.raises(MissingMotionRateError, match="'mystery'"):
+        retrieve(graph, ObjectNode("x"), kitchen, config)
+
+
+def test_gbfs_success_ignores_missing_rates_of_units_it_never_reaches():
+    graph, kitchen = _rated_universe()
+    config = RetrievalConfig(algorithm=GBFS_SUCCESS, motion_profile=MotionProfile({"chop": 0.5}))
+    tree, _ = retrieve(graph, ObjectNode("g"), kitchen, config)
+    assert _motions(tree) == ["chop"]
+
+
+@pytest.mark.parametrize("algorithm", [IDS, GBFS_SUCCESS, GBFS_INPUTS])
+def test_trace_candidates_carry_float_scores(algorithm):
+    universe = load_universe("diamond")
+    trace = []
+    retrieve(
+        universe.graph, universe.goal, universe.kitchen, _config(universe, algorithm), trace=trace
+    )
+    assert trace
+    expected = {
+        IDS: lambda unit: float(unit.source_index),
+        GBFS_SUCCESS: lambda unit: universe.profile.rate_for(unit.motion.label),
+        GBFS_INPUTS: lambda unit: float(len(unit.inputs)),
+    }[algorithm]
+    for record in trace:
+        for unit, score in record.candidates:
+            assert type(score) is float
+            assert score == expected(unit)
+
+
 def test_input_count_score_counts_nodes():
     universe = load_universe("ice_cup")
     pour, scoop = universe.graph.units
@@ -373,29 +417,60 @@ def test_ids_is_depth_minimal_when_a_shared_subgoal_has_a_shallower_producer():
     assert tree_metrics(tree, kitchen=kitchen).max_chain_depth == 3  # ids gives 4
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RecursionError,
-    reason="D2: the recursive resolver overflows the stack on a 600-unit chain",
-)
-def test_deep_chain_resolves_for_every_algorithm():
-    nodes = [ObjectNode(f"n{i}") for i in range(601)]
+# --- deep chains: depth is bounded by memory, not by the recursion limit ----
+
+
+def _chain(length):
+    """A linear chain ``n0 -> n1 -> ... -> n{length}``; the kitchen holds n0."""
+    nodes = [ObjectNode(f"n{i}") for i in range(length + 1)]
     units = [
-        FunctionalUnit((nodes[i],), Motion("step"), (nodes[i + 1],), i) for i in range(600)
+        FunctionalUnit((nodes[i],), Motion("step"), (nodes[i + 1],), i) for i in range(length)
     ]
-    graph, kitchen = build_graph(units), Kitchen((nodes[0],))
+    return build_graph(units), nodes[-1], Kitchen((nodes[0],))
+
+
+def _chain_config(algorithm, length):
+    return RetrievalConfig(
+        algorithm=algorithm, max_depth=length, motion_profile=MotionProfile({"step": 0.5})
+    )
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_deep_chain_resolves_for_every_algorithm():
+    graph, goal, kitchen = _chain(600)
     for algorithm in (GBFS_SUCCESS, GBFS_INPUTS, IDS):
-        config = RetrievalConfig(
-            algorithm=algorithm,
-            max_depth=600,
-            motion_profile=MotionProfile({"step": 0.5}),
-        )
-        try:
-            tree, _ = retrieve(graph, nodes[-1], kitchen, config)
-        except RecursionError as overflow:
-            # Drop the thousand-frame traceback, which pytest takes seconds to render.
-            raise RecursionError(f"{algorithm}: {overflow}") from None
+        tree, _ = retrieve(graph, goal, kitchen, _chain_config(algorithm, 600))
         assert len(tree.steps) == 600
+
+
+@pytest.mark.parametrize("algorithm", [GBFS_SUCCESS, GBFS_INPUTS])
+def test_greedy_resolves_a_5000_unit_chain(algorithm):
+    # ids stays at 600 units: on this chain it runs one pass per depth.
+    graph, goal, kitchen = _chain(5000)
+    tree, stats = retrieve(graph, goal, kitchen, _chain_config(algorithm, 5000))
+    assert [unit.source_index for unit in tree.steps] == list(range(5000))
+    assert stats.expanded_units == 5000
+    assert stats.depth_reached == 5000 == stats.peak_open_set - 1
+    ok, problems = validate_tree(tree, graph, kitchen)
+    assert ok, problems
+
+
+def test_chain_depth_costs_no_stack_frames():
+    graph, goal, kitchen = _chain(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 50)
+    try:
+        for algorithm in (GBFS_SUCCESS, GBFS_INPUTS, IDS):
+            tree, _ = retrieve(graph, goal, kitchen, _chain_config(algorithm, 600))
+            assert len(tree.steps) == 600
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- validate_tree ---------------------------------------------------------
@@ -472,3 +547,9 @@ def test_config_rejects_nonsense():
         RetrievalConfig(algorithm="a-star")
     with pytest.raises(ValueError):
         RetrievalConfig(max_depth=0)
+
+
+@pytest.mark.parametrize("max_depth", [2.5, 3.0, True, "3", None])
+def test_config_rejects_a_max_depth_that_is_not_an_int(max_depth):
+    with pytest.raises(ValueError):
+        RetrievalConfig(max_depth=max_depth)
