@@ -15,8 +15,10 @@ and a motion without a success rate), 3 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -180,10 +182,34 @@ def _load_graph(path: str) -> FoonGraph:
     return graph
 
 
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_products(products: list[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` product so that a failure leaves none.
+
+    Each text goes to a new temporary file beside its path, and only once all
+    are written are they renamed into place.  On a failure the temporary
+    files, and any product already renamed, are removed.
+    """
+    staged: list[tuple[Path, Path]] = []  # (temporary file, product path)
+    placed: list[Path] = []
+    try:
+        for number, (path, text) in enumerate(products):
+            target = Path(path)
+            temp = target.parent / f".{target.name}.{os.getpid()}-{number}.tmp"
+            with open(temp, "x", encoding="utf-8") as handle:
+                staged.append((temp, target))
+                handle.write(text)
+        for temp, target in staged:
+            temp.replace(target)
+            placed.append(target)
+    except BaseException:
+        for path in [temp for temp, _ in staged[len(placed):]] + placed:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -222,28 +248,25 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         backtrack=not args.no_backtrack,
     )
     tree, stats = retrieve(graph, goal, kitchen, config)
-    # Every product is built before any is written, so a run that fails
-    # (a motion without a rate, say) leaves no partial output behind.
+    # Every product is built, and every file written, before the tree goes
+    # to stdout, so a run that fails (a motion without a rate, a missing
+    # directory) leaves no partial output behind.
     tree_text = serialize_foon(tree.steps)
-    dot_text = export_dot(tree) if args.dot else ""
-    metrics = tree_metrics(tree, profile, kitchen=kitchen) if args.json else None
-    if args.out:
-        Path(args.out).write_text(tree_text, encoding="utf-8")
-    else:
-        sys.stdout.write(tree_text)
+    products = [(args.out, tree_text)] if args.out else []
     if args.dot:
-        Path(args.dot).write_text(dot_text, encoding="utf-8")
+        products.append((args.dot, export_dot(tree)))
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "algorithm": tree.algorithm_tag,
-                "goal": tree.goal_key,
-                "outcome": "found",
-                "metrics": asdict(metrics),
-                "stats": asdict(stats),
-            },
-        )
+        payload = {
+            "algorithm": tree.algorithm_tag,
+            "goal": tree.goal_key,
+            "outcome": "found",
+            "metrics": asdict(tree_metrics(tree, profile, kitchen=kitchen)),
+            "stats": asdict(stats),
+        }
+        products.append((args.json, _json_text(payload)))
+    _write_products(products)
+    if not args.out:
+        sys.stdout.write(tree_text)
     if tree.steps:
         print(
             f"retrieved a task tree with {_count(len(tree.steps), 'step')}"
@@ -268,9 +291,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         fixture=Path(args.foon).name,
     )
-    sys.stdout.write(report.to_table(include_timings=args.timings))
     if args.json:
-        _write_json(args.json, report.to_json_dict(include_timings=args.timings))
+        payload = report.to_json_dict(include_timings=args.timings)
+        _write_products([(args.json, _json_text(payload))])
+    sys.stdout.write(report.to_table(include_timings=args.timings))
     return EXIT_OK
 
 

@@ -284,7 +284,7 @@ class FoonGraph:
     """A deduplicated universe of units plus the producers index.
 
     ``producers`` maps every output node key to the units that produce it, in
-    file order.  Treat instances as immutable once built.
+    file order, each unit once.  Treat instances as immutable once built.
     """
 
     units: tuple[FunctionalUnit, ...]
@@ -305,8 +305,8 @@ def build_graph(units: Iterable[FunctionalUnit]) -> FoonGraph:
         raise EmptyUniverseError("empty universe: no functional units")
     producers: dict[str, list[FunctionalUnit]] = {}
     for unit in kept:
-        for node in unit.outputs:
-            producers.setdefault(node.key, []).append(unit)
+        for key in dict.fromkeys(unit.output_keys):
+            producers.setdefault(key, []).append(unit)
     return FoonGraph(
         units=kept,
         producers={key: tuple(value) for key, value in producers.items()},

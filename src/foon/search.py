@@ -33,7 +33,9 @@ The search keys its per-pass maps by strings and unit identity, never by a
 unit's dataclass hash, and ranks each key's producers once per call into a
 plain tuple of units; scores are paired with candidates only for a trace.
 It resolves over an explicit stack of frames, one per key being expanded,
-so a chain's depth is bounded by memory, not by the recursion limit.
+so a chain's depth is bounded by memory, not by the recursion limit.  Each
+frame holds an iterator over its candidate's pending inputs, so a frame
+resumed after a subgoal resolves goes on from the next input.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import FoonError, MissingMotionRateError, UnknownGoalError
-from .graph import FoonGraph, FunctionalUnit, Kitchen, ObjectNode, TaskTree
+from .graph import FoonGraph, FunctionalUnit, Kitchen, MotionProfile, ObjectNode, TaskTree
 
 IDS = "ids"
 GBFS_SUCCESS = "gbfs-success"
@@ -74,6 +76,10 @@ class RetrievalConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if type(self.max_depth) is not int or self.max_depth < 1:
             raise ValueError("max_depth must be a positive integer")
+        if self.motion_profile is not None and not isinstance(self.motion_profile, MotionProfile):
+            raise ValueError("motion_profile must be a MotionProfile or None")
+        if type(self.backtrack) is not bool:
+            raise ValueError("backtrack must be a bool")
 
 
 @dataclass
@@ -150,21 +156,20 @@ def _resolve(
     stack: list[tuple] = []  # the suspended frames, innermost last
     # The current frame expands ``key``, requested at ``depth``.  ``choices``
     # yields the candidates not yet tried; candidates[index] is the one being
-    # tried (-1 before the first), inputs[:pos] are its resolved inputs and
-    # ``deepest`` is the longest chain among them.  A failed try rolls steps
-    # and journal back to their marks.  The root frame (key None) stands for
-    # a unit whose one input is the goal.
+    # tried (-1 before the first), ``pending`` yields its inputs not yet
+    # resolved and ``deepest`` is the longest chain among those that are.  A
+    # failed try rolls steps and journal back to their marks.  The root frame
+    # (key None) stands for a unit whose one input is the goal.
     key, depth, candidates, choices, index = None, -1, (), iter(()), 0
-    inputs, pos, deepest, steps_mark, journal_mark = (goal_key,), 0, 0, 0, 0
+    pending, deepest, steps_mark, journal_mark = iter((goal_key,)), 0, 0, 0
     while True:
-        # Resolve inputs[pos:], stopping at the first that fails or needs a
-        # frame of its own.
+        # Resolve the pending inputs, stopping at the first that fails or
+        # needs a frame of its own; a resumed frame goes on after that one.
         at = depth + 1
         if at >= peak:
             peak = at + 1
         outcome = None
-        for pos in range(pos, len(inputs)):
-            want = inputs[pos]
+        for want in pending:
             if want in stock:
                 continue
             if want in path:
@@ -185,7 +190,7 @@ def _resolve(
                 found = ranked[want] = rank(producers.get(want, ()))
             if found:
                 stack.append(
-                    (key, depth, candidates, choices, index, inputs, pos, deepest, steps_mark,
+                    (key, depth, candidates, choices, index, pending, deepest, steps_mark,
                      journal_mark)
                 )
                 key, depth, candidates, index = want, at, found, -1
@@ -232,18 +237,17 @@ def _resolve(
                     expanded += 1
                     steps_mark, journal_mark = len(steps), len(journal)
                     path.add(key)
-                    inputs, pos, deepest = unit.input_keys, 0, 0
+                    pending, deepest = iter(unit.input_keys), 0
                     break
             if trace is not None:
                 accepted = None if outcome is None else index
                 scored = tuple([(unit, score(unit)) for unit in candidates])
                 trace.append(ChoiceRecord(key, scored, accepted))
-            (key, depth, candidates, choices, index, inputs, pos, deepest, steps_mark,
+            (key, depth, candidates, choices, index, pending, deepest, steps_mark,
              journal_mark) = stack.pop()
             if outcome is not None:
                 if outcome > deepest:
                     deepest = outcome
-                pos += 1
                 break
 
 

@@ -232,6 +232,43 @@ def test_retrieve_strict_default_rate_only_writes_nothing_to_stdout(tmp_path, ca
     assert not metrics.exists()
 
 
+def test_retrieve_failed_product_write_leaves_no_product_file(tmp_path, capsys):
+    out, dot = tmp_path / "tree.txt", tmp_path / "missing_dir" / "tree.dot"
+    assert main(_retrieve_args("diamond", "ids", out=out, dot=dot)) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no product and no temporary file
+
+
+def test_retrieve_failed_product_write_prints_no_tree(tmp_path, capsys):
+    dot = tmp_path / "missing_dir" / "tree.dot"
+    assert main(_retrieve_args("diamond", "ids", dot=dot)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+
+
+def test_retrieve_failed_rename_removes_the_products_already_in_place(tmp_path, capsys):
+    # Every file is written; renaming the JSON onto a directory then fails.
+    out, dot, taken = tmp_path / "tree.txt", tmp_path / "tree.dot", tmp_path / "taken"
+    taken.mkdir()
+    p = _paths("cold_water")
+    code = main(
+        _retrieve_args("cold_water", "ids", motions=p["motions"], out=out, dot=dot, json=taken)
+    )
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+    assert list(taken.iterdir()) == []
+
+
+def test_compare_failed_json_write_prints_no_table(tmp_path, capsys):
+    p = _paths("ice_cup")
+    report = tmp_path / "missing_dir" / "report.json"
+    argv = ["compare", "--foon", p["foon"], "--kitchen", p["kitchen"], "--goal", p["goal"]]
+    assert main(argv + ["--motions", p["motions"], "--json", str(report)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("command", ["retrieve", "compare"])
 def test_deep_chain_exits_0_with_every_step(command, tmp_path, capsys):
     nodes = [ObjectNode(f"n{i}") for i in range(601)]

@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from foon import (
     GBFS_INPUTS,
@@ -136,6 +138,25 @@ def test_multi_output_unit_is_placed_once():
         assert _motions(tree) == ["press", "combine"]
         ok, problems = validate_tree(tree, graph, kitchen)
         assert ok, problems
+
+
+@pytest.mark.parametrize("algorithm", [IDS, GBFS_SUCCESS, GBFS_INPUTS])
+def test_a_unit_listing_an_output_twice_is_one_candidate_for_it(algorithm):
+    # "split" lists x twice; it produces x once, so the search tries it once.
+    k, x, g = ObjectNode("k"), ObjectNode("x"), ObjectNode("g")
+    split = FunctionalUnit((k,), Motion("split"), (x, x), 0)
+    finish = FunctionalUnit((x,), Motion("mix"), (g,), 1)
+    graph = build_graph([split, finish])
+    assert graph.producers["x|"] == (split,)
+    config = RetrievalConfig(
+        algorithm=algorithm, motion_profile=MotionProfile({"split": 0.5, "mix": 0.5})
+    )
+    trace = []
+    with pytest.raises(TaskTreeNotFound) as caught:
+        retrieve(graph, g, Kitchen((ObjectNode("q"),)), config, trace=trace)
+    assert {len(record.candidates) for record in trace if record.key == "x|"} == {1}
+    if algorithm != IDS:
+        assert caught.value.stats.expanded_units == 2
 
 
 # --- greedy best-first -----------------------------------------------------
@@ -524,6 +545,71 @@ def test_validate_tree_accepts_empty_tree_only_with_satisfied_goal():
     assert problems
 
 
+# --- shapes random_universe never makes -----------------------------------
+
+
+_SHAPE_MOTIONS = ("chop", "mix", "heat")
+_SHAPE_PROFILE = MotionProfile({"chop": 0.9, "mix": 0.6, "heat": 0.3})
+
+
+@st.composite
+def _odd_universes(draw):
+    """A universe of at most 12 units in shapes ``random_universe`` never makes.
+
+    A unit may list a node twice among its inputs or its outputs, may output
+    one of its own inputs (a utensil), and may appear twice exactly; a ring of
+    units may be entered from the core (from a kitchen item when there is
+    one) and lead back into it.  The goal is a node that some unit outputs.
+    """
+    core = [ObjectNode(f"n{i}") for i in range(draw(st.integers(2, 6)))]
+    nodes, motions = st.sampled_from(core), st.sampled_from(_SHAPE_MOTIONS)
+    kitchen = draw(st.lists(nodes, max_size=3))
+    units = []
+    for _ in range(draw(st.integers(1, 5))):
+        inputs = draw(st.lists(nodes, min_size=1, max_size=3))
+        outputs = draw(st.lists(nodes, min_size=1, max_size=2))
+        if draw(st.booleans()):
+            outputs.append(draw(st.sampled_from(inputs)))
+        units.append((inputs, draw(motions), outputs))
+    ring = [ObjectNode(f"r{i}") for i in range(draw(st.integers(0, 3)))]
+    if ring:
+        units.append(([draw(st.sampled_from(kitchen or core))], draw(motions), [ring[0]]))
+        for here, there in zip(ring, ring[1:] + ring[:1]):
+            units.append(([here], draw(motions), [there]))
+        units.append(([ring[-1]], draw(motions), [draw(nodes)]))
+    for _ in range(draw(st.integers(0, 2))):
+        units.insert(draw(st.integers(0, len(units))), draw(st.sampled_from(units)))
+    graph = build_graph(
+        FunctionalUnit(tuple(inputs), Motion(motion), tuple(outputs), index)
+        for index, (inputs, motion, outputs) in enumerate(units)
+    )
+    goal = draw(st.sampled_from([node for unit in graph.units for node in unit.outputs]))
+    return graph, goal, Kitchen(tuple(kitchen))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_odd_universes())
+def test_every_algorithm_agrees_with_the_oracle_on_shapes_random_universe_never_makes(
+    universe,
+):
+    graph, goal, kitchen = universe
+    trees = enumerate_all_task_trees(graph, goal, kitchen)
+    solutions = {tree.canonical_form() for tree in trees}
+    for algorithm in (IDS, GBFS_SUCCESS, GBFS_INPUTS):
+        config = RetrievalConfig(algorithm=algorithm, max_depth=64, motion_profile=_SHAPE_PROFILE)
+        try:
+            tree, _ = retrieve(graph, goal, kitchen, config)
+        except TaskTreeNotFound:
+            assert not trees, algorithm
+            continue
+        ok, problems = validate_tree(tree, graph, kitchen)
+        assert ok, (algorithm, problems)
+        assert tree.canonical_form() in solutions, algorithm
+        if algorithm == IDS:
+            depth = tree_metrics(tree, kitchen=kitchen).max_chain_depth
+            assert depth >= min(tree_metrics(t, kitchen=kitchen).max_chain_depth for t in trees)
+
+
 # --- determinism and config -----------------------------------------------
 
 
@@ -547,6 +633,21 @@ def test_config_rejects_nonsense():
         RetrievalConfig(algorithm="a-star")
     with pytest.raises(ValueError):
         RetrievalConfig(max_depth=0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"backtrack": "no"},
+        {"backtrack": 0},
+        {"backtrack": None},
+        {"algorithm": GBFS_INPUTS, "motion_profile": "not a profile"},
+        {"algorithm": GBFS_SUCCESS, "motion_profile": {"chop": 0.5}},
+    ],
+)
+def test_config_rejects_a_backtrack_or_profile_of_the_wrong_type(fields):
+    with pytest.raises(ValueError):
+        RetrievalConfig(**fields)
 
 
 @pytest.mark.parametrize("max_depth", [2.5, 3.0, True, "3", None])
