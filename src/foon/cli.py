@@ -223,6 +223,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
+    # Two product flags name one file when their parent directories resolve
+    # alike and their names are equal; a symlink product is replaced, not
+    # written through, so its own name is what counts.
+    named: dict[tuple[str, str], str] = {}
+    for flag, path in (("--out", args.out), ("--dot", args.dot), ("--json", args.json)):
+        if path:
+            target = Path(path)
+            where = (os.path.realpath(target.parent), target.name)
+            if where in named:
+                print(
+                    f"foon retrieve: error: {named[where]} and {flag} name the same file",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
+            named[where] = flag
     default_rate = None if args.strict_motions else args.default_rate
     if args.algorithm == GBFS_SUCCESS and args.motions is None and default_rate is None:
         ignored = ""

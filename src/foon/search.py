@@ -35,7 +35,9 @@ plain tuple of units; scores are paired with candidates only for a trace.
 It resolves over an explicit stack of frames, one per key being expanded,
 so a chain's depth is bounded by memory, not by the recursion limit.  Each
 frame holds an iterator over its candidate's pending inputs, so a frame
-resumed after a subgoal resolves goes on from the next input.
+resumed after a subgoal resolves goes on from the next input.  One log holds
+a pass's resolutions in order, and a failed candidate pops it back to its
+frame's mark; a key being expanded resolves to -1, so meeting it is a cycle.
 """
 
 from __future__ import annotations
@@ -144,24 +146,28 @@ def _resolve(
     the search failed) and whether the cap refused any request.  ``ranked``
     memoizes ``rank`` per key and may be shared by every pass of one
     retrieval; ``score`` is called only to fill ``trace``.
+
+    ``log`` lists the resolutions as ``(key, unit placed or None)``, and its
+    placed units are the steps.  A frame's key holds the in-progress mark -1
+    in ``resolved`` from its push until its resolution overwrites it, or until
+    every candidate has failed and the mark is deleted.
     """
     producers = graph.producers
-    steps: list[FunctionalUnit] = []
-    resolved: dict[str, int] = {}  # key -> chain depth of its resolution
+    resolved: dict[str, int] = {}  # key -> chain depth of its resolution, -1 while open
     placed: dict[int, int] = {}  # id(unit) -> chain depth when placed
-    journal: list[tuple[dict, object]] = []  # undo log: (map, entry) pairs
-    path: set[str] = set()  # keys currently being expanded
+    log: list[tuple[str, FunctionalUnit | None]] = []  # resolutions: (key, unit placed)
     cut = False  # whether the cap refused a request
     expanded, peak = stats.expanded_units, stats.peak_open_set
     stack: list[tuple] = []  # the suspended frames, innermost last
     # The current frame expands ``key``, requested at ``depth``.  ``choices``
     # yields the candidates not yet tried; candidates[index] is the one being
     # tried (-1 before the first), ``pending`` yields its inputs not yet
-    # resolved and ``deepest`` is the longest chain among those that are.  A
-    # failed try rolls steps and journal back to their marks.  The root frame
-    # (key None) stands for a unit whose one input is the goal.
+    # resolved and ``deepest`` is the longest chain among those that are.
+    # ``mark`` is the log's length when the frame was pushed; a failed try
+    # pops the log back to it.  The root frame (key None) stands for a unit
+    # whose one input is the goal.
     key, depth, candidates, choices, index = None, -1, (), iter(()), 0
-    pending, deepest, steps_mark, journal_mark = iter((goal_key,)), 0, 0, 0
+    pending, deepest, mark = iter((goal_key,)), 0, 0
     while True:
         # Resolve the pending inputs, stopping at the first that fails or
         # needs a frame of its own; a resumed frame goes on after that one.
@@ -172,10 +178,10 @@ def _resolve(
         for want in pending:
             if want in stock:
                 continue
-            if want in path:
-                break
             cached = resolved.get(want)
             if cached is not None:
+                if cached < 0:  # open on this path: a cycle
+                    break
                 if at + cached <= cap:
                     if cached > deepest:
                         deepest = cached
@@ -189,62 +195,51 @@ def _resolve(
             if found is None:
                 found = ranked[want] = rank(producers.get(want, ()))
             if found:
-                stack.append(
-                    (key, depth, candidates, choices, index, pending, deepest, steps_mark,
-                     journal_mark)
-                )
+                stack.append((key, depth, candidates, choices, index, pending, deepest, mark))
                 key, depth, candidates, index = want, at, found, -1
                 choices = iter(found if backtrack else found[:1])
+                resolved[key], mark = -1, len(log)
             break
         else:
             if key is None:
                 stats.expanded_units, stats.peak_open_set = expanded, peak
-                return steps, cut
-            path.discard(key)
+                return [unit for _, unit in log if unit is not None], cut
             unit = candidates[index]
-            outcome = deepest + 1
-            steps.append(unit)
-            placed[id(unit)] = outcome
-            journal.append((placed, id(unit)))
-            resolved[key] = outcome
-            journal.append((resolved, key))
+            outcome = resolved[key] = placed[id(unit)] = deepest + 1
+            log.append((key, unit))
         # Settle frames until one has a candidate with inputs to resolve.
         while True:
             if outcome is None:
                 if key is None:
                     stats.expanded_units, stats.peak_open_set = expanded, peak
                     return None, cut
-                if index >= 0:  # candidates[index] failed: undo its subtree
-                    path.discard(key)
-                    del steps[steps_mark:]
-                    while len(journal) > journal_mark:
-                        table, entry = journal.pop()
-                        del table[entry]
+                while len(log) > mark:  # undo the failed candidate's subtree
+                    done, unit = log.pop()
+                    del resolved[done]
+                    if unit is not None:
+                        del placed[id(unit)]
                 for unit in choices:
                     index += 1
                     reused = placed.get(id(unit))
                     if reused is None:
                         break
                     if depth + reused <= cap:
-                        resolved[key] = reused
-                        journal.append((resolved, key))
-                        outcome = reused
+                        outcome = resolved[key] = reused
+                        log.append((key, None))
                         break
                     cut = True
                 else:
                     unit = None  # every candidate failed
+                    del resolved[key]
                 if outcome is None and unit is not None:  # expand it
                     expanded += 1
-                    steps_mark, journal_mark = len(steps), len(journal)
-                    path.add(key)
                     pending, deepest = iter(unit.input_keys), 0
                     break
             if trace is not None:
                 accepted = None if outcome is None else index
                 scored = tuple([(unit, score(unit)) for unit in candidates])
                 trace.append(ChoiceRecord(key, scored, accepted))
-            (key, depth, candidates, choices, index, pending, deepest, steps_mark,
-             journal_mark) = stack.pop()
+            key, depth, candidates, choices, index, pending, deepest, mark = stack.pop()
             if outcome is not None:
                 if outcome > deepest:
                     deepest = outcome

@@ -10,7 +10,7 @@ versions of the package that print the same digest answer the sweep alike.
 
 Point ``PYTHONPATH`` at another checkout's ``src`` to digest that version
 with this sweep.  The file is not a test module, so pytest does not collect
-it.
+it; ``test_retrieval_digest.py`` pins the value it prints.
 """
 
 from __future__ import annotations

@@ -261,6 +261,53 @@ def test_retrieve_failed_rename_removes_the_products_already_in_place(tmp_path, 
     assert list(taken.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "products, flags",
+    [
+        ({"out": "x", "json": "x"}, "--out and --json"),
+        ({"dot": "y", "out": "./y"}, "--out and --dot"),
+    ],
+    ids=["out-json", "dot-out"],
+)
+def test_retrieve_two_products_naming_one_file_exit_3(
+    products, flags, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    args = _retrieve_args("diamond", "ids", motions=_paths("diamond")["motions"], **products)
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"foon retrieve: error: {flags} name the same file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_retrieve_rejects_one_file_named_twice_before_reading_any_input(tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    argv = [
+        "retrieve",
+        "--foon", str(tmp_path / "missing.foon.txt"),
+        "--kitchen", "k",
+        "--goal", "g",
+        "--algorithm", "ids",
+        "--dot", str(tmp_path / "d" / "t"),
+        "--json", str(tmp_path / "d" / ".." / "d" / "t"),
+    ]
+    assert main(argv) == 3  # a missing universe file would exit 2
+    assert "--dot and --json name the same file" in capsys.readouterr().err
+
+
+def test_retrieve_a_symlink_product_and_its_target_are_two_files(tmp_path, capsys):
+    target, link = tmp_path / "tree.dot", tmp_path / "link"
+    target.write_text("old")
+    link.symlink_to(target)
+    assert main(_retrieve_args("diamond", "ids", out=link, dot=target)) == 0
+    capsys.readouterr()
+    assert not link.is_symlink()
+    assert target.read_text().startswith("digraph")
+    assert main(_retrieve_args("diamond", "ids")) == 0
+    assert link.read_text() == capsys.readouterr().out
+
+
 def test_compare_failed_json_write_prints_no_table(tmp_path, capsys):
     p = _paths("ice_cup")
     report = tmp_path / "missing_dir" / "report.json"

@@ -365,13 +365,31 @@ def test_cycles_terminate(length):
             retrieve(graph, goal, kitchen, config)
 
 
-# --- deepening stops once its limit cuts nothing ---------------------------
-
-
 def _plain_unit(inputs, motion, output, index):
     return FunctionalUnit(
         tuple(ObjectNode(name) for name in inputs), Motion(motion), (ObjectNode(output),), index
     )
+
+
+@pytest.mark.parametrize("algorithm", [IDS, GBFS_SUCCESS, GBFS_INPUTS])
+def test_a_key_that_failed_on_a_cycle_is_retried_once_its_cycle_is_gone(algorithm):
+    # "x" fails first: its only producer needs "y", which is still open.  Once
+    # "y" resolves through "y2", the goal's request for "x" must search again.
+    units = [
+        _plain_unit(("y", "x"), "g", "g", 0),
+        _plain_unit(("x",), "y1", "y", 1),
+        _plain_unit(("y",), "x1", "x", 2),
+        _plain_unit(("k",), "y2", "y", 3),
+    ]
+    config = RetrievalConfig(algorithm=algorithm, motion_profile=MotionProfile({}, 0.5))
+    graph, kitchen = build_graph(units), Kitchen((ObjectNode("k"),))
+    tree, stats = retrieve(graph, ObjectNode("g"), kitchen, config)
+    assert [unit.source_index for unit in tree.steps] == [3, 2, 0]
+    assert stats.expanded_units == (10 if algorithm == IDS else 5)
+    assert stats.peak_open_set == 4
+
+
+# --- deepening stops once its limit cuts nothing ---------------------------
 
 
 def _d1_units():
