@@ -14,8 +14,6 @@ from .errors import (
     UnknownGoalError,
 )
 from .evaluate import (
-    AlgorithmRun,
-    ComparisonReport,
     TreeMetrics,
     compare_algorithms,
     enumerate_all_task_trees,
@@ -31,7 +29,6 @@ from .graph import (
     StateDescriptor,
     TaskTree,
     build_graph,
-    normalize,
 )
 from .io import (
     ParseDiagnostic,
@@ -59,9 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "AlgorithmRun",
     "ChoiceRecord",
-    "ComparisonReport",
     "EmptyUniverseError",
     "FoonError",
     "FoonGraph",
@@ -88,7 +83,6 @@ __all__ = [
     "compare_algorithms",
     "enumerate_all_task_trees",
     "export_dot",
-    "normalize",
     "parse_foon",
     "parse_goal",
     "parse_kitchen",

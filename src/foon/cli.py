@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NoReturn
 
@@ -30,7 +29,7 @@ from .errors import (
     ParseError,
     UnknownGoalError,
 )
-from .evaluate import compare_algorithms, tree_metrics
+from .evaluate import compare_algorithms, format_table, run_entry
 from .graph import FoonGraph, build_graph
 from .io import (
     ERROR,
@@ -84,6 +83,13 @@ _max_depth = _bounded(int, 1, math.inf, "a positive integer")
 _rate = _bounded(float, 0.0, 1.0, "a rate in [0, 1]")
 
 
+def _product_path(text: str) -> str:
+    """An argparse ``type`` for a product file: any path but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="foon",
@@ -128,9 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="greedy search commits to its first choice instead of retrying",
     )
-    retrieve_cmd.add_argument("--out", help="write the task tree text here instead of stdout")
-    retrieve_cmd.add_argument("--dot", help="also write the task tree as Graphviz DOT")
-    retrieve_cmd.add_argument("--json", help="also write metrics and stats as JSON")
+    for flag, what in (
+        ("--out", "write the task tree text here instead of stdout"),
+        ("--dot", "also write the task tree as Graphviz DOT"),
+        ("--json", "also write metrics and stats as JSON"),
+    ):
+        retrieve_cmd.add_argument(flag, type=_product_path, help=what)
     retrieve_cmd.set_defaults(handler=cmd_retrieve)
 
     compare = subparsers.add_parser(
@@ -143,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--max-depth", type=_max_depth, default=50, help="depth limit for ids (default 50)"
     )
-    compare.add_argument("--json", help="also write the report as JSON")
+    compare.add_argument("--json", type=_product_path, help="also write the report as JSON")
     compare.add_argument(
         "--timings",
         action="store_true",
@@ -274,9 +283,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         payload = {
             "algorithm": tree.algorithm_tag,
             "goal": tree.goal_key,
-            "outcome": "found",
-            "metrics": asdict(tree_metrics(tree, profile, kitchen=kitchen)),
-            "stats": asdict(stats),
+            **run_entry(tree, stats, profile, kitchen=kitchen),
         }
         products.append((args.json, _json_text(payload)))
     _write_products(products)
@@ -305,11 +312,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         profile,
         max_depth=args.max_depth,
         fixture=Path(args.foon).name,
+        timings=args.timings,
     )
     if args.json:
-        payload = report.to_json_dict(include_timings=args.timings)
-        _write_products([(args.json, _json_text(payload))])
-    sys.stdout.write(report.to_table(include_timings=args.timings))
+        _write_products([(args.json, _json_text(report))])
+    sys.stdout.write(format_table(report))
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Tree quality metrics, an exhaustive enumeration oracle, and comparison.
+"""Tree quality metrics, an exhaustive enumeration oracle, and run reports.
 
 ``enumerate_all_task_trees`` is an independent re-statement of the retrieval
 semantics in an immutable, enumerate-everything style.  It intentionally
@@ -205,79 +205,27 @@ def enumerate_all_task_trees(
     return sorted(unique.values(), key=lambda t: (len(t.steps), t.canonical_form()))
 
 
-@dataclass
-class AlgorithmRun:
-    """Outcome of one algorithm inside a comparison."""
+def run_entry(
+    tree: TaskTree | None,
+    stats: RetrievalStats,
+    profile: MotionProfile | None,
+    *,
+    kitchen: Kitchen,
+    wall_ms: float | None = None,
+) -> dict:
+    """One run's report: ``outcome``, ``metrics`` and ``stats``.
 
-    outcome: str  # "found" | "not-found"
-    tree: TaskTree | None
-    metrics: TreeMetrics | None
-    stats: RetrievalStats
-    wall_ms: float
-
-
-@dataclass
-class ComparisonReport:
-    """Side-by-side results of every retrieval algorithm on one problem."""
-
-    goal_key: str
-    fixture: str
-    runs: dict[str, AlgorithmRun]
-
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        """JSON-ready dict; timings only on request so output stays stable."""
-        algorithms = {}
-        for name, run in self.runs.items():
-            entry: dict[str, object] = {
-                "outcome": run.outcome,
-                "metrics": None if run.metrics is None else asdict(run.metrics),
-                "stats": asdict(run.stats),
-            }
-            if include_timings:
-                entry["wall_ms"] = round(run.wall_ms, 3)
-            algorithms[name] = entry
-        return {"goal": self.goal_key, "fixture": self.fixture, "algorithms": algorithms}
-
-    def to_table(self, include_timings: bool = False) -> str:
-        """Aligned text table, one column per algorithm."""
-        names = list(self.runs)
-
-        def metric(run: AlgorithmRun, pick) -> str:
-            if run.metrics is None:
-                return "-"
-            value = pick(run.metrics)
-            return "-" if value is None else (
-                f"{value:.4f}" if isinstance(value, float) else str(value)
-            )
-
-        rows: list[tuple[str, list[str]]] = [
-            ("outcome", [run.outcome for run in self.runs.values()]),
-            ("functional units", [metric(r, lambda m: m.unit_count) for r in self.runs.values()]),
-            ("success product", [metric(r, lambda m: m.success_product) for r in self.runs.values()]),
-            ("success min", [metric(r, lambda m: m.success_min) for r in self.runs.values()]),
-            ("max chain depth", [metric(r, lambda m: m.max_chain_depth) for r in self.runs.values()]),
-            ("leaf count", [metric(r, lambda m: m.leaf_count) for r in self.runs.values()]),
-            ("expanded units", [str(r.stats.expanded_units) for r in self.runs.values()]),
-            ("peak open set", [str(r.stats.peak_open_set) for r in self.runs.values()]),
-            ("depth reached", [str(r.stats.depth_reached) for r in self.runs.values()]),
-        ]
-        if include_timings:
-            rows.append(("wall ms", [f"{r.wall_ms:.3f}" for r in self.runs.values()]))
-        label_width = max(len(label) for label, _ in rows)
-        widths = [
-            max(len(name), max(len(row[1][i]) for row in rows))
-            for i, name in enumerate(names)
-        ]
-        lines = [
-            " " * label_width
-            + "".join(f"  {name:>{widths[i]}}" for i, name in enumerate(names))
-        ]
-        for label, cells in rows:
-            lines.append(
-                f"{label:<{label_width}}"
-                + "".join(f"  {cell:>{widths[i]}}" for i, cell in enumerate(cells))
-            )
-        return "\n".join(lines) + "\n"
+    ``tree`` is None for a not-found run, whose ``metrics`` is then None;
+    ``wall_ms``, when given, is added rounded to 3 places.
+    """
+    entry = {
+        "outcome": "not-found" if tree is None else "found",
+        "metrics": None if tree is None else asdict(tree_metrics(tree, profile, kitchen=kitchen)),
+        "stats": asdict(stats),
+    }
+    if wall_ms is not None:
+        entry["wall_ms"] = round(wall_ms, 3)
+    return entry
 
 
 def compare_algorithms(
@@ -288,29 +236,62 @@ def compare_algorithms(
     *,
     max_depth: int = 50,
     fixture: str = "",
-) -> ComparisonReport:
-    """Run every retrieval algorithm on one problem and collect the results.
+    timings: bool = False,
+) -> dict:
+    """Run every retrieval algorithm on one problem: the report ``compare --json`` writes.
 
-    A TaskTreeNotFound is recorded as that algorithm's outcome; an unknown
-    goal raises UnknownGoalError out of the first run, before any result is
-    assembled, so all three algorithms reject it identically.
+    ``{"goal", "fixture", "algorithms": {name: run_entry}}``; ``timings`` adds
+    each retrieval's ``wall_ms``.  A TaskTreeNotFound is recorded as that
+    algorithm's outcome; an unknown goal raises UnknownGoalError out of the
+    first run, so all three algorithms reject it identically.
     """
-    goal_key = goal.key
-    runs: dict[str, AlgorithmRun] = {}
+    algorithms = {}
     for algorithm in ALGORITHMS:
-        config = RetrievalConfig(
-            algorithm=algorithm,
-            max_depth=max_depth,
-            motion_profile=profile,
-        )
+        config = RetrievalConfig(algorithm=algorithm, max_depth=max_depth, motion_profile=profile)
         started = time.perf_counter()
         try:
             tree, stats = retrieve(graph, goal, kitchen, config)
         except TaskTreeNotFound as miss:
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            runs[algorithm] = AlgorithmRun("not-found", None, None, miss.stats, wall_ms)
-        else:
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            metrics = tree_metrics(tree, profile, kitchen=kitchen)
-            runs[algorithm] = AlgorithmRun("found", tree, metrics, stats, wall_ms)
-    return ComparisonReport(goal_key=goal_key, fixture=fixture, runs=runs)
+            tree, stats = None, miss.stats
+        wall_ms = (time.perf_counter() - started) * 1000.0 if timings else None
+        algorithms[algorithm] = run_entry(tree, stats, profile, kitchen=kitchen, wall_ms=wall_ms)
+    return {"goal": goal.key, "fixture": fixture, "algorithms": algorithms}
+
+
+# (label, section of a run entry or None for the entry itself, field)
+_TABLE_ROWS = (
+    ("outcome", None, "outcome"),
+    ("functional units", "metrics", "unit_count"),
+    ("success product", "metrics", "success_product"),
+    ("success min", "metrics", "success_min"),
+    ("max chain depth", "metrics", "max_chain_depth"),
+    ("leaf count", "metrics", "leaf_count"),
+    ("expanded units", "stats", "expanded_units"),
+    ("peak open set", "stats", "peak_open_set"),
+    ("depth reached", "stats", "depth_reached"),
+)
+
+
+def _cell(entry: dict, section: str | None, field: str) -> str:
+    holder = entry if section is None else entry[section]
+    value = None if holder is None else holder[field]
+    if value is None:
+        return "-"
+    return f"{value:.4f}" if isinstance(value, float) else str(value)
+
+
+def format_table(report: dict) -> str:
+    """A compare_algorithms report as an aligned table, one column per algorithm."""
+    names, entries = list(report["algorithms"]), list(report["algorithms"].values())
+    rows = [
+        (label, [_cell(entry, section, field) for entry in entries])
+        for label, section, field in _TABLE_ROWS
+    ]
+    if "wall_ms" in entries[0]:
+        rows.append(("wall ms", [f"{entry['wall_ms']:.3f}" for entry in entries]))
+    label_width = max(len(label) for label, _ in rows)
+    widths = [max(len(name), *(len(cells[i]) for _, cells in rows)) for i, name in enumerate(names)]
+    lines = [" " * label_width + "".join(f"  {n:>{w}}" for n, w in zip(names, widths))]
+    for label, cells in rows:
+        lines.append(f"{label:<{label_width}}" + "".join(f"  {c:>{w}}" for c, w in zip(cells, widths)))
+    return "\n".join(lines) + "\n"

@@ -333,6 +333,3 @@ class TaskTree:
     def canonical_form(self) -> str:
         """Order-insensitive identity: sorted canonical unit blocks."""
         return "//\n".join(sorted(unit.to_text() for unit in self.steps))
-
-    def __len__(self) -> int:
-        return len(self.steps)

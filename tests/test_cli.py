@@ -296,6 +296,31 @@ def test_retrieve_rejects_one_file_named_twice_before_reading_any_input(tmp_path
     assert "--dot and --json name the same file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, products, flag",
+    [
+        ("retrieve", {"out": "", "json": ""}, "--out"),
+        ("retrieve", {"dot": ""}, "--dot"),
+        ("compare", {"json": ""}, "--json"),
+    ],
+    ids=["retrieve-out-json", "retrieve-dot", "compare-json"],
+)
+def test_an_empty_product_path_exits_3(command, products, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    p = _paths("diamond")
+    argv = [command, "--foon", p["foon"], "--kitchen", p["kitchen"], "--goal", p["goal"],
+            "--motions", p["motions"]]
+    if command == "retrieve":
+        argv += ["--algorithm", "ids"]
+    for name, path in products.items():
+        argv += [f"--{name}", path]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a file path, got ''" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_retrieve_a_symlink_product_and_its_target_are_two_files(tmp_path, capsys):
     target, link = tmp_path / "tree.dot", tmp_path / "link"
     target.write_text("old")
@@ -428,6 +453,24 @@ def test_compare_timings_flag_adds_wall_clock(capsys):
     ])
     assert code == 0
     assert "wall ms" in capsys.readouterr().out
+
+
+def test_compare_timings_json_holds_the_tables_wall_ms(tmp_path, capsys):
+    p = _paths("ice_cup")
+    report = tmp_path / "report.json"
+    code = main([
+        "compare", "--foon", p["foon"], "--kitchen", p["kitchen"],
+        "--goal", p["goal"], "--motions", p["motions"], "--timings", "--json", str(report),
+    ])
+    assert code == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    cells = next(row for row in rows if row.startswith("wall ms")).split()[2:]
+    printed = dict(zip(header.split(), cells))
+    written = json.loads(report.read_text())["algorithms"]
+    assert set(printed) == set(written) == {"ids", "gbfs-success", "gbfs-inputs"}
+    for algorithm, entry in written.items():
+        assert entry["wall_ms"] >= 0.0
+        assert printed[algorithm] == f"{entry['wall_ms']:.3f}"
 
 
 def test_compare_handles_not_found(capsys):

@@ -21,7 +21,7 @@ from foon import (
     retrieve,
     tree_metrics,
 )
-from foon.evaluate import ORACLE_CAP
+from foon.evaluate import ORACLE_CAP, format_table
 
 from helpers import cycle_universe, load_universe, random_universe
 
@@ -164,14 +164,19 @@ def test_compare_reports_all_three_algorithms():
     report = compare_algorithms(
         universe.graph, universe.goal, universe.kitchen, universe.profile, fixture="ice_cup"
     )
-    assert list(report.runs) == [IDS, GBFS_SUCCESS, GBFS_INPUTS]
-    assert report.runs[GBFS_SUCCESS].metrics.success_product == 0.9
-    assert report.runs[GBFS_INPUTS].metrics.success_product == 0.6
-    assert report.runs[IDS].metrics.unit_count == 1
-    for run in report.runs.values():
-        assert run.outcome == "found"
-        assert run.stats.peak_open_set >= 1
-        assert run.wall_ms >= 0.0
+    runs = report["algorithms"]
+    assert list(runs) == [IDS, GBFS_SUCCESS, GBFS_INPUTS]
+    assert runs[GBFS_SUCCESS]["metrics"]["success_product"] == 0.9
+    assert runs[GBFS_INPUTS]["metrics"]["success_product"] == 0.6
+    assert runs[IDS]["metrics"]["unit_count"] == 1
+    for run in runs.values():
+        assert run["outcome"] == "found"
+        assert run["stats"]["peak_open_set"] >= 1
+    timed = compare_algorithms(
+        universe.graph, universe.goal, universe.kitchen, universe.profile, timings=True
+    )
+    for run in timed["algorithms"].values():
+        assert run["wall_ms"] >= 0.0
 
 
 def test_compare_records_not_found_outcomes():
@@ -179,10 +184,9 @@ def test_compare_records_not_found_outcomes():
     report = compare_algorithms(
         universe.graph, universe.goal, universe.kitchen, universe.profile
     )
-    for run in report.runs.values():
-        assert run.outcome == "not-found"
-        assert run.tree is None
-        assert run.metrics is None
+    for run in report["algorithms"].values():
+        assert run["outcome"] == "not-found"
+        assert run["metrics"] is None
 
 
 def test_compare_propagates_unknown_goal():
@@ -197,12 +201,13 @@ def test_report_json_dict_is_serializable_and_stable():
     report = compare_algorithms(
         universe.graph, universe.goal, universe.kitchen, universe.profile, fixture="diamond"
     )
-    payload = report.to_json_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True)
     assert "wall_ms" not in text
     assert json.loads(text)["fixture"] == "diamond"
-    assert set(payload["algorithms"]) == {IDS, GBFS_SUCCESS, GBFS_INPUTS}
-    timed = report.to_json_dict(include_timings=True)
+    assert set(report["algorithms"]) == {IDS, GBFS_SUCCESS, GBFS_INPUTS}
+    timed = compare_algorithms(
+        universe.graph, universe.goal, universe.kitchen, universe.profile, timings=True
+    )
     assert "wall_ms" in timed["algorithms"][IDS]
 
 
@@ -211,13 +216,15 @@ def test_report_table_lines_up():
     report = compare_algorithms(
         universe.graph, universe.goal, universe.kitchen, universe.profile
     )
-    table = report.to_table()
+    table = format_table(report)
     lines = table.splitlines()
     assert len({len(line) for line in lines}) == 1  # constant width
     assert "wall ms" not in table
     assert "success product" in table
     assert "0.9000" in table
-    timed = report.to_table(include_timings=True)
+    timed = format_table(compare_algorithms(
+        universe.graph, universe.goal, universe.kitchen, universe.profile, timings=True
+    ))
     assert "wall ms" in timed
 
 

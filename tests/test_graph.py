@@ -20,10 +20,10 @@ from foon import (
     StateDescriptor,
     TaskTree,
     build_graph,
-    normalize,
     parse_foon,
     serialize_foon,
 )
+from foon.graph import normalize
 
 from helpers import FIXTURE_NAMES, fixture_path, load_universe, random_universe
 

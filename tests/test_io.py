@@ -21,13 +21,13 @@ from foon import (
     StateDescriptor,
     TaskTree,
     export_dot,
-    normalize,
     parse_foon,
     parse_goal,
     parse_kitchen,
     parse_motion_profile,
     serialize_foon,
 )
+from foon.graph import normalize
 
 from helpers import FIXTURE_DIR, FIXTURE_NAMES, fixture_path, load_universe
 
