@@ -215,7 +215,10 @@ class FunctionalUnit:
 
 @dataclass
 class MotionProfile:
-    """Success rates per motion label, with an optional fallback rate."""
+    """Success rates per motion label, with an optional fallback rate.
+
+    Labels are normalized; two that normalize alike must give the same rate.
+    """
 
     rates: dict[str, float] = field(default_factory=dict)
     default_rate: float | None = None
@@ -227,7 +230,8 @@ class MotionProfile:
             value = float(rate)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"success rate for {key!r} outside [0, 1]: {rate}")
-            cleaned[key] = value
+            if cleaned.setdefault(key, value) != value:
+                raise ValueError(f"conflicting rate for motion {key!r}")
         self.rates = cleaned
         if self.default_rate is not None:
             fallback = float(self.default_rate)
@@ -284,7 +288,10 @@ class FoonGraph:
     """A deduplicated universe of units plus the producers index.
 
     ``producers`` maps every output node key to the units that produce it, in
-    file order, each unit once.  Treat instances as immutable once built.
+    file order, each unit once.  Treat instances as immutable once built:
+    ``retrieve`` keeps each algorithm's producer rankings on the graph (those
+    of gbfs-success for the latest rates), so a graph whose ``producers``
+    change after a retrieval keeps answering from the old rankings.
     """
 
     units: tuple[FunctionalUnit, ...]

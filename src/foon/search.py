@@ -30,8 +30,9 @@ limit ``c`` passes under ``c + 1`` as well, so each deeper pass would make
 the same decisions and fail the same way.
 
 The search keys its per-pass maps by strings and unit identity, never by a
-unit's dataclass hash, and ranks each key's producers once per call into a
-plain tuple of units; scores are paired with candidates only for a trace.
+unit's dataclass hash.  It ranks each key's producers once per graph into a
+plain tuple of units, kept on the graph for every later retrieval that ranks
+the same way; scores are paired with candidates only for a trace.
 It resolves over an explicit stack of frames, one per key being expanded,
 so a chain's depth is bounded by memory, not by the recursion limit.  Each
 frame holds an iterator over its candidate's pending inputs, so a frame
@@ -144,8 +145,8 @@ def _resolve(
 
     ``stock`` is the kitchen's key set.  Returns the ordered steps (None when
     the search failed) and whether the cap refused any request.  ``ranked``
-    memoizes ``rank`` per key and may be shared by every pass of one
-    retrieval; ``score`` is called only to fill ``trace``.
+    memoizes ``rank`` per key and is shared by every pass of every retrieval
+    that ranks the same way; ``score`` is called only to fill ``trace``.
 
     ``log`` lists the resolutions as ``(key, unit placed or None)``, and its
     placed units are the steps.  A frame's key holds the in-progress mark -1
@@ -284,6 +285,24 @@ def _ranking(config: RetrievalConfig) -> tuple[_Rank, _Score]:
     return rank, score
 
 
+def _ranked(graph: FoonGraph, config: RetrievalConfig) -> dict[str, _Units]:
+    """The graph's memo of ``config``'s rankings, kept in its ``_rankings``.
+
+    One memo per algorithm, made empty on first use.  The gbfs-success memo
+    is tagged with the rates and default rate; a call with other ones
+    rebinds it to a fresh memo, leaving the old one to any search reading it.
+    """
+    tag = None
+    if config.algorithm == GBFS_SUCCESS:
+        profile = config.motion_profile
+        tag = (frozenset(profile.rates.items()), profile.default_rate)
+    tables = vars(graph).setdefault("_rankings", {})
+    kept = tables.get(config.algorithm)
+    if kept is None or kept[0] != tag:
+        kept = tables[config.algorithm] = (tag, {})
+    return kept[1]
+
+
 def retrieve(
     graph: FoonGraph,
     goal: ObjectNode,
@@ -301,9 +320,10 @@ def retrieve(
     algorithms run one uncapped pass; with ``config.backtrack`` (the
     default) a failed subtree falls through to the next-best candidate,
     without it the search commits to its first choice.  Pass ``trace`` to
-    record every choice point (for ids, those of every pass).  Raises
-    UnknownGoalError for an unknown goal and TaskTreeNotFound when the
-    search fails.
+    record every choice point (for ids, those of every pass).  Each key's
+    ranked producers are kept on the graph for later calls, those of
+    gbfs-success for the latest rates.  Raises UnknownGoalError for an
+    unknown goal and TaskTreeNotFound when the search fails.
     """
     if config is None:
         config = RetrievalConfig()
@@ -316,7 +336,7 @@ def retrieve(
     greedy = config.algorithm != IDS
     caps = (float("inf"),) if greedy else range(config.max_depth + 1)
     stats = RetrievalStats()
-    ranked: dict[str, _Units] = {}
+    ranked = _ranked(graph, config)
     for cap in caps:
         steps, cut = _resolve(
             graph, kitchen.keys, goal_key, cap=cap, rank=rank, score=score, ranked=ranked,

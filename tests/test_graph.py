@@ -379,6 +379,12 @@ def test_motion_profile_rejects_out_of_range_rates():
         MotionProfile({}, default_rate=2.0)
 
 
+
+def test_motion_profile_rejects_labels_that_normalize_alike_with_other_rates():
+    with pytest.raises(ValueError, match="conflicting rate for motion 'chop'"):
+        MotionProfile({"Chop": 0.5, "chop ": 0.7})
+    assert MotionProfile({"Chop": 0.5, "chop ": 0.5}).rates == {"chop": 0.5}
+
 def test_kitchen_deduplicates_by_key():
     kitchen = Kitchen(
         (

@@ -1,7 +1,9 @@
 """Retrieval algorithms: ordering, depth limits, backtracking, termination."""
 
+import gc
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -626,6 +628,62 @@ def test_every_algorithm_agrees_with_the_oracle_on_shapes_random_universe_never_
         if algorithm == IDS:
             depth = tree_metrics(tree, kitchen=kitchen).max_chain_depth
             assert depth >= min(tree_metrics(t, kitchen=kitchen).max_chain_depth for t in trees)
+
+
+# --- rankings kept on the graph ---------------------------------------------
+
+
+def _steps(graph, kitchen, algorithm, profile):
+    config = RetrievalConfig(algorithm=algorithm, motion_profile=profile)
+    tree, _ = retrieve(graph, ObjectNode("g"), kitchen, config)
+    return [(unit.source_index, unit.motion.label) for unit in tree.steps]
+
+
+def test_rankings_never_leak_between_profiles_or_graphs():
+    # Goal "g" from kitchen item "k" by "chop" (unit 0) or "pour" (unit 1).
+    units = [_plain_unit(("k",), "chop", "g", 0), _plain_unit(("k",), "pour", "g", 1)]
+    graph, kitchen = build_graph(units), Kitchen((ObjectNode("k"),))
+    chop_first = MotionProfile({"chop": 0.9, "pour": 0.1})
+    pour_first = MotionProfile({"chop": 0.1, "pour": 0.9})
+    chop, pour = [(0, "chop")], [(1, "pour")]
+    for profile, expected in ((chop_first, chop), (pour_first, pour), (chop_first, chop)):
+        assert _steps(graph, kitchen, GBFS_SUCCESS, profile) == expected
+        for algorithm in (IDS, GBFS_INPUTS):  # whichever profile ranked before
+            assert _steps(graph, kitchen, algorithm, profile) == chop
+    with pytest.raises(MissingMotionRateError, match="'pour'"):
+        _steps(graph, kitchen, GBFS_SUCCESS, MotionProfile({"chop": 0.5}))
+    other = build_graph([_plain_unit(("k",), "pour", "g", 0)])
+    for algorithm in (IDS, GBFS_SUCCESS, GBFS_INPUTS):
+        assert _steps(other, kitchen, algorithm, chop_first) == [(0, "pour")]
+    lacking = build_graph([_plain_unit(("k", "m"), "chop", "g", 0)])
+    with pytest.raises(TaskTreeNotFound):
+        _steps(lacking, kitchen, IDS, None)
+    assert list(lacking.producers) == ["g|"]  # ids ranks into a memo of its own
+
+
+def test_rankings_kept_on_a_graph_stay_bounded_whatever_the_profiles():
+    # 100 keys of two producers each feed the goal, so each retrieval ranks
+    # 101 keys.  A ranking kept per profile would retain over 1 MB here.
+    units = [_plain_unit([f"n{i}" for i in range(100)], "serve", "g", 0)]
+    for i in range(100):
+        units += [_plain_unit(("k",), "chop", f"n{i}", 2 * i + 1),
+                  _plain_unit(("k",), "pour", f"n{i}", 2 * i + 2)]
+    graph, kitchen = build_graph(units), Kitchen((ObjectNode("k"),))
+    profiles = [MotionProfile({"chop": i / 400, "pour": 0.5}, 1.0) for i in range(200)]
+
+    def retained_after(profiles):
+        for profile in profiles:
+            _steps(graph, kitchen, GBFS_SUCCESS, profile)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        early = retained_after(profiles[:2])
+        late = retained_after(profiles[2:])
+    finally:
+        tracemalloc.stop()
+    assert late - early < 32 * 1024
 
 
 # --- determinism and config -----------------------------------------------
