@@ -31,7 +31,8 @@ def _escape(text: str) -> str:
     return text if _RESERVED.isdisjoint(text) else text.translate(_KEY_ESCAPES)
 
 
-# Sets a frozen field; writing to __dict__ instead would slow every later read.
+# Sets a frozen field.  Nodes and states, built per query, store all their
+# fields as one new __dict__ instead: cheaper to build, a little slower to read.
 _setattr = object.__setattr__
 
 
@@ -70,10 +71,9 @@ class StateDescriptor:
             if not contents or any(not item or "," in item for item in contents):
                 raise ValueError("contents must be a non-empty set of names without ','")
             serial += "{" + ",".join(sorted(map(_escape, contents))) + "}"
-        _setattr(self, "label", label)
-        _setattr(self, "container", container)
-        _setattr(self, "contents", contents)
-        _setattr(self, "serial", serial)
+        _setattr(self, "__dict__", {
+            "label": label, "container": container, "contents": contents, "serial": serial,
+        })
 
     def display(self) -> str:
         """Reader-friendly form, used in DOT labels."""
@@ -112,13 +112,15 @@ class ObjectNode:
         if in_motion not in (0, 1):
             raise ValueError("in-motion flag must be 0 or 1")
         states = frozenset(states)
-        serials = [state.serial for state in states]
-        if len(serials) > 1:
-            serials.sort()
-        _setattr(self, "name", name)
-        _setattr(self, "states", states)
-        _setattr(self, "in_motion", int(in_motion))
-        _setattr(self, "key", f"{_escape(name)}|{'+'.join(serials)}")
+        if len(states) == 1:
+            [state] = states
+            serials = state.serial
+        else:
+            serials = "+".join(sorted([state.serial for state in states]))
+        _setattr(self, "__dict__", {
+            "name": name, "states": states, "in_motion": int(in_motion),
+            "key": f"{_escape(name)}|{serials}",
+        })
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -217,7 +219,8 @@ class FunctionalUnit:
 class MotionProfile:
     """Success rates per motion label, with an optional fallback rate.
 
-    Labels are normalized; two that normalize alike must give the same rate.
+    Labels are normalized and must not be empty; two that normalize alike
+    must give the same rate.
     """
 
     rates: dict[str, float] = field(default_factory=dict)
@@ -227,6 +230,8 @@ class MotionProfile:
         cleaned: dict[str, float] = {}
         for label, rate in self.rates.items():
             key = normalize(label)
+            if not key:
+                raise ValueError("motion label must be non-empty")
             value = float(rate)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"success rate for {key!r} outside [0, 1]: {rate}")
@@ -288,15 +293,19 @@ class FoonGraph:
     """A deduplicated universe of units plus the producers index.
 
     ``producers`` maps every output node key to the units that produce it, in
-    file order, each unit once.  Treat instances as immutable once built:
-    ``retrieve`` keeps each algorithm's producer rankings on the graph (those
-    of gbfs-success for the latest rates), so a graph whose ``producers``
-    change after a retrieval keeps answering from the old rankings.
+    file order, each unit once.  ``retrieve`` keeps each algorithm's producer
+    rankings on the graph (those of gbfs-success for the latest rates) while
+    ``producers`` is the same mapping; copies and pickles leave them behind.
+    Treat a graph as immutable once built: rankings outlive a change made
+    inside the ``producers`` mapping.
     """
 
     units: tuple[FunctionalUnit, ...]
     producers: dict[str, tuple[FunctionalUnit, ...]]
     duplicates_dropped: int = 0
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_rankings"}
 
 
 def build_graph(units: Iterable[FunctionalUnit]) -> FoonGraph:

@@ -14,12 +14,14 @@ object blocks.  Blank lines are ignored, trailing whitespace (including
 stray tabs) is tolerated, and a final unit without a closing separator is
 accepted.  Kitchen and goal files reuse the object-block syntax only.
 
-One object-block reader serves all three kinds of file.  Within one call it
-parses each distinct O, S and M line once, builds each distinct run of a
-block's S lines into one state set, and every copy of a block (its O line
-plus the S lines that parsed, as read) shares one ObjectNode.  A line that
-fails to parse is never memoized, so each copy of it is reported at its own
-line number.
+The universe reader parses each distinct O, S and M line once per call,
+builds each distinct run of a block's S lines into one state set, and every
+copy of a block (its O line plus the S lines that parsed, as read) shares
+one ObjectNode.  A line that fails to parse is never memoized, so each copy
+of it is reported at its own line number.  The kitchen and goal reader,
+whose small files seldom repeat a line, memoizes only S lines and builds one
+node per block.  Both share the line grammar and its messages, and neither
+keeps anything across calls.
 """
 
 from __future__ import annotations
@@ -95,13 +97,12 @@ def _parse_state_line(fields: list[str], lineno: int) -> StateDescriptor:
 
 
 class _Reader:
-    """Reads object blocks, and assembles universe files' blocks into units.
+    """Reads a universe file's object blocks and assembles them into units.
 
     ``open`` starts a block at an O line and ``add_state`` adds an S line to
     it.  A closed block's node joins the open unit's inputs, or its outputs
-    once the unit has a motion; kitchen and goal files have no motion lines,
-    so all their nodes are ``inputs``.  A malformed line marks the current
-    unit broken; the unit is dropped at the next separator without a second
+    once the unit has a motion.  A malformed line marks the current unit
+    broken; the unit is dropped at the next separator without a second
     diagnostic, and parsing continues.  One reader, and its memos, serve one
     call.
     """
@@ -257,26 +258,34 @@ def serialize_foon(units: list[FunctionalUnit] | tuple[FunctionalUnit, ...]) -> 
 
 
 def _parse_object_blocks(text: str, source: str) -> list[ObjectNode]:
-    """Object blocks only (kitchen/goal files); raises ParseError on any flaw."""
-    reader = _Reader()
+    """Object blocks only (kitchen/goal files); raises ParseError on any flaw.
+
+    Lines rarely repeat in these small files, so only S lines are memoized.
+    """
+    blocks: list[tuple[tuple[str, int], list[StateDescriptor]]] = []  # (name, flag), states
+    states: dict[str, StateDescriptor] = {}  # raw S line -> state
+    block: list[StateDescriptor] | None = None  # the open block's states; None if none
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip()
         if not line or line.startswith("//"):
-            reader.close()
+            block = None
             continue
         tag = line.partition("\t")[0].strip()
-        if tag == "O":
-            reader.open(line, lineno)
-        elif tag == "S":
-            if not reader.lines:
+        if tag == "S":
+            if block is None:
                 raise ParseError("state line with no preceding object line", lineno)
-            reader.add_state(line, lineno)
+            state = states.get(line)
+            if state is None:
+                state = states[line] = _parse_state_line(_split_fields(line), lineno)
+            block.append(state)
+        elif tag == "O":
+            block = []
+            blocks.append((_parse_object_line(_split_fields(line), lineno), block))
         elif tag == "M":
             raise ParseError(f"motion line not allowed in a {source} file", lineno)
         else:
             raise ParseError(f"unrecognized line tag {tag!r}", lineno)
-    reader.close()
-    return reader.inputs
+    return [ObjectNode(name, frozenset(listed), flag) for (name, flag), listed in blocks]
 
 
 def parse_kitchen(text: str) -> Kitchen:
@@ -324,7 +333,9 @@ def parse_motion_profile(text: str, default_rate: float | None = None) -> Motion
         if label in rates and rates[label] != rate:
             raise ParseError(f"conflicting rate for motion {label!r}", lineno)
         rates[label] = rate
-    return MotionProfile(rates, default_rate)
+    profile = MotionProfile(default_rate=default_rate)
+    profile.rates = rates  # already normalized and checked, line by line
+    return profile
 
 
 def _dot_escape(text: str) -> str:

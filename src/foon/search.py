@@ -288,15 +288,19 @@ def _ranking(config: RetrievalConfig) -> tuple[_Rank, _Score]:
 def _ranked(graph: FoonGraph, config: RetrievalConfig) -> dict[str, _Units]:
     """The graph's memo of ``config``'s rankings, kept in its ``_rankings``.
 
-    One memo per algorithm, made empty on first use.  The gbfs-success memo
-    is tagged with the rates and default rate; a call with other ones
-    rebinds it to a fresh memo, leaving the old one to any search reading it.
+    One memo per algorithm, made empty on first use, and all of them dropped
+    once ``graph.producers`` is not the mapping they were ranked from.  The
+    gbfs-success memo is tagged with the rates and default rate; a call with
+    other ones rebinds it to a fresh memo, leaving the old one to any search
+    reading it.
     """
     tag = None
     if config.algorithm == GBFS_SUCCESS:
         profile = config.motion_profile
         tag = (frozenset(profile.rates.items()), profile.default_rate)
-    tables = vars(graph).setdefault("_rankings", {})
+    source, tables = vars(graph).get("_rankings", (None, None))
+    if source is not graph.producers:
+        source, tables = graph._rankings = (graph.producers, {})
     kept = tables.get(config.algorithm)
     if kept is None or kept[0] != tag:
         kept = tables[config.algorithm] = (tag, {})

@@ -21,6 +21,7 @@ from foon import (
     TaskTree,
     build_graph,
     parse_foon,
+    parse_motion_profile,
     serialize_foon,
 )
 from foon.graph import normalize
@@ -379,11 +380,26 @@ def test_motion_profile_rejects_out_of_range_rates():
         MotionProfile({}, default_rate=2.0)
 
 
-
 def test_motion_profile_rejects_labels_that_normalize_alike_with_other_rates():
     with pytest.raises(ValueError, match="conflicting rate for motion 'chop'"):
         MotionProfile({"Chop": 0.5, "chop ": 0.7})
     assert MotionProfile({"Chop": 0.5, "chop ": 0.5}).rates == {"chop": 0.5}
+
+
+@pytest.mark.parametrize("label", ["", "  ", "\t\u00a0"])
+def test_motion_profile_rejects_a_label_that_normalizes_to_nothing(label):
+    with pytest.raises(ValueError, match="motion label must be non-empty"):
+        MotionProfile({"chop": 0.5, label: 0.5})
+
+
+def test_a_parsed_motion_profile_equals_one_built_from_the_same_rates():
+    parsed = parse_motion_profile("Chop\t0.5\n\n# note\n POUR  \t1\n", 0.25)
+    assert parsed == MotionProfile({"chop": 0.5, "pour": 1}, 0.25)
+    assert parsed.rates == {"chop": 0.5, "pour": 1.0}
+    assert [type(rate) for rate in parsed.rates.values()] == [float, float]
+    with pytest.raises(ValueError):
+        parse_motion_profile("chop\t0.5\n", 1.5)
+
 
 def test_kitchen_deduplicates_by_key():
     kitchen = Kitchen(

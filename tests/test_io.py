@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from foon import (
     FunctionalUnit,
+    Kitchen,
     Motion,
     ObjectNode,
     ParseError,
@@ -29,7 +30,7 @@ from foon import (
 )
 from foon.graph import normalize
 
-from helpers import FIXTURE_DIR, FIXTURE_NAMES, fixture_path, load_universe
+from helpers import FIXTURE_DIR, FIXTURE_NAMES, _random_node, fixture_path, load_universe
 
 
 def _errors(diagnostics):
@@ -262,6 +263,50 @@ def test_parse_goal_requires_exactly_one_block():
         parse_goal("")
     with pytest.raises(ParseError):
         parse_goal("O\ta\t0\n\nO\tb\t0\n")
+
+
+def _universe_inputs(blocks):
+    """The input nodes that parse_foon builds from object blocks, in file order."""
+    units, diagnostics = parse_foon(blocks + "\nM\tmix\nO\tmade by the test\t0\n//\n")
+    assert not _errors(diagnostics)
+    return units[0].inputs
+
+
+def _block_texts():
+    """Each fixture's kitchen and goal, then random nodes written out as blocks."""
+    for name in FIXTURE_NAMES:
+        for kind in ("kitchen", "goal"):
+            yield fixture_path(name, kind).read_text()
+    rng = random.Random(16)
+    for _ in range(300):
+        nodes = [_random_node(rng) for _ in range(rng.randint(1, 5))]
+        text = FunctionalUnit(nodes, Motion("mix"), (ObjectNode("made"),)).to_text()
+        yield text[: text.index("\nM\t") + 1]
+
+
+def test_the_kitchen_and_goal_reader_agrees_with_the_universe_reader():
+    for text in _block_texts():
+        inputs = _universe_inputs(text)
+        expected = Kitchen(inputs).items
+        kitchen = parse_kitchen(text).items
+        assert kitchen == expected, text
+        assert [node.key for node in kitchen] == [node.key for node in expected], text
+        if len(inputs) == 1:
+            goal = parse_goal(text)
+            assert goal == inputs[0] and goal.key == inputs[0].key, text
+
+
+def test_kitchen_and_goal_reading_keep_nothing_across_calls():
+    text = fixture_path("chop_onion", "kitchen").read_text()
+    text += text  # a repeated block and repeated state lines within one call
+    first, second = parse_kitchen(text), parse_kitchen(text)
+    assert first.items == second.items
+    for node_a, node_b in zip(first, second):
+        assert node_a is not node_b
+        for state_a, state_b in zip(node_a.sorted_states(), node_b.sorted_states()):
+            assert state_a == state_b and state_a is not state_b
+    goal = fixture_path("chop_onion", "goal").read_text()
+    assert parse_goal(goal) == parse_goal(goal) and parse_goal(goal) is not parse_goal(goal)
 
 
 def test_export_dot_declares_nodes_edges_and_goal_color():

@@ -1,6 +1,9 @@
 """Retrieval algorithms: ordering, depth limits, backtracking, termination."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 import random
 import sys
 import tracemalloc
@@ -684,6 +687,38 @@ def test_rankings_kept_on_a_graph_stay_bounded_whatever_the_profiles():
     finally:
         tracemalloc.stop()
     assert late - early < 32 * 1024
+
+
+def _chop_or_pour():
+    """Goal "g" from kitchen item "k" by "chop" (unit 0) or "pour" (unit 1)."""
+    units = [_plain_unit(("k",), "chop", "g", 0), _plain_unit(("k",), "pour", "g", 1)]
+    return build_graph(units), Kitchen((ObjectNode("k"),))
+
+
+@pytest.mark.parametrize("algorithm", [IDS, GBFS_SUCCESS, GBFS_INPUTS])
+def test_a_graph_with_other_producers_ranks_its_own(algorithm):
+    graph, kitchen = _chop_or_pour()
+    profile = MotionProfile({"chop": 0.9, "pour": 0.1})
+    assert _steps(graph, kitchen, algorithm, profile) == [(0, "chop")]
+    pour_only = {"g|": (graph.units[1],)}
+    copied, deep = copy.copy(graph), copy.deepcopy(graph)
+    copied.producers = deep.producers = pour_only
+    replaced = dataclasses.replace(graph, producers=pour_only)
+    for other in (copied, deep, replaced):
+        assert _steps(other, kitchen, algorithm, profile) == [(1, "pour")]
+    assert _steps(graph, kitchen, algorithm, profile) == [(0, "chop")]
+    graph.producers = pour_only  # rebinding the mapping drops the rankings
+    assert _steps(graph, kitchen, algorithm, profile) == [(1, "pour")]
+
+
+def test_copies_and_pickles_of_a_graph_leave_its_rankings_behind():
+    graph, kitchen = _chop_or_pour()
+    fresh = pickle.dumps(graph)
+    for algorithm in (IDS, GBFS_SUCCESS, GBFS_INPUTS):
+        _steps(graph, kitchen, algorithm, MotionProfile({"chop": 0.1, "pour": 0.9}))
+    assert pickle.dumps(graph) == fresh
+    for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(fresh)):
+        assert twin == graph and vars(twin).keys() == {"units", "producers", "duplicates_dropped"}
 
 
 # --- determinism and config -----------------------------------------------
