@@ -293,11 +293,12 @@ class FoonGraph:
     """A deduplicated universe of units plus the producers index.
 
     ``producers`` maps every output node key to the units that produce it, in
-    file order, each unit once.  ``retrieve`` keeps each algorithm's producer
-    rankings on the graph (those of gbfs-success for the latest rates) while
-    ``producers`` is the same mapping; copies and pickles leave them behind.
-    Treat a graph as immutable once built: rankings outlive a change made
-    inside the ``producers`` mapping.
+    file order, each unit once.  ``retrieve`` keeps what it derives from
+    ``producers`` in one private slot while it is the same mapping: each
+    algorithm's producer rankings (those of gbfs-success for the latest
+    rates), a forward index, and the levels of the latest 8 kitchens.  Copies
+    and pickles leave the slot behind.  Treat a graph as immutable once
+    built: the slot outlives a change made inside the ``producers`` mapping.
     """
 
     units: tuple[FunctionalUnit, ...]
@@ -305,7 +306,7 @@ class FoonGraph:
     duplicates_dropped: int = 0
 
     def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "_rankings"}
+        return {name: value for name, value in vars(self).items() if name != "_derived"}
 
 
 def build_graph(units: Iterable[FunctionalUnit]) -> FoonGraph:

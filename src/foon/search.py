@@ -15,7 +15,12 @@ tree, so the result minimizes the unit-chain depth.  Greedy best-first
 ranks producers by a heuristic score (motion success rate, descending, or
 input-object count, ascending; ties fall back to file order) in one
 uncapped pass, backtracking to the next-best candidate when a subtree fails
-unless backtracking is disabled.
+unless backtracking is disabled.  A greedy search that backtracks ranks only
+the producers the kitchen can complete, those whose every input a forward
+level pass from the kitchen reaches: any other one always fails, and its
+failure rolls back all it placed, so skipping it changes no tree, only the
+work done.  An unreachable goal thus fails with no expansion.  ids and a
+greedy search without backtracking rank every producer.
 
 Depth bookkeeping: a kitchen-satisfied key costs 0; a unit's chain depth is
 one more than the deepest of its input resolutions.  Reusing a previously
@@ -32,7 +37,9 @@ the same decisions and fail the same way.
 The search keys its per-pass maps by strings and unit identity, never by a
 unit's dataclass hash.  It ranks each key's producers once per graph into a
 plain tuple of units, kept on the graph for every later retrieval that ranks
-the same way; scores are paired with candidates only for a trace.
+the same way; scores are paired with candidates only for a trace.  The
+levels, and the rankings filtered by them, are kept per kitchen key set for
+the latest few kitchens.
 It resolves over an explicit stack of frames, one per key being expanded,
 so a chain's depth is bounded by memory, not by the recursion limit.  Each
 frame holds an iterator over its candidate's pending inputs, so a frame
@@ -111,7 +118,9 @@ class ChoiceRecord:
 
     ``accepted`` indexes the candidate whose subtree succeeded (or that was
     reused); None means every candidate failed.  Records are appended in
-    resolution order, including choice points later rolled back.
+    resolution order, including choice points later rolled back.  A greedy
+    search that backtracks lists only the producers the kitchen can complete,
+    and records no choice point for a key that has none.
     """
 
     key: str
@@ -129,12 +138,11 @@ class TaskTreeNotFound(FoonError):
 
 
 def _resolve(
-    graph: FoonGraph,
     stock: frozenset[str],
     goal_key: str,
     *,
     cap: float,
-    rank: _Rank,
+    rank: Callable[[str], _Units],
     score: _Score,
     ranked: dict[str, _Units],
     backtrack: bool,
@@ -145,15 +153,15 @@ def _resolve(
 
     ``stock`` is the kitchen's key set.  Returns the ordered steps (None when
     the search failed) and whether the cap refused any request.  ``ranked``
-    memoizes ``rank`` per key and is shared by every pass of every retrieval
-    that ranks the same way; ``score`` is called only to fill ``trace``.
+    memoizes ``rank``, a key's candidates in order, and is shared by every
+    pass of every retrieval that ranks the same way; ``score`` is called only
+    to fill ``trace``.
 
     ``log`` lists the resolutions as ``(key, unit placed or None)``, and its
     placed units are the steps.  A frame's key holds the in-progress mark -1
     in ``resolved`` from its push until its resolution overwrites it, or until
     every candidate has failed and the mark is deleted.
     """
-    producers = graph.producers
     resolved: dict[str, int] = {}  # key -> chain depth of its resolution, -1 while open
     placed: dict[int, int] = {}  # id(unit) -> chain depth when placed
     log: list[tuple[str, FunctionalUnit | None]] = []  # resolutions: (key, unit placed)
@@ -194,7 +202,7 @@ def _resolve(
                 break
             found = ranked.get(want)
             if found is None:
-                found = ranked[want] = rank(producers.get(want, ()))
+                found = ranked[want] = rank(want)
             if found:
                 stack.append((key, depth, candidates, choices, index, pending, deepest, mark))
                 key, depth, candidates, index = want, at, found, -1
@@ -285,26 +293,127 @@ def _ranking(config: RetrievalConfig) -> tuple[_Rank, _Score]:
     return rank, score
 
 
-def _ranked(graph: FoonGraph, config: RetrievalConfig) -> dict[str, _Units]:
-    """The graph's memo of ``config``'s rankings, kept in its ``_rankings``.
+_KITCHENS = 8  # kitchens whose levels and rankings a graph keeps, the latest ones
 
-    One memo per algorithm, made empty on first use, and all of them dropped
-    once ``graph.producers`` is not the mapping they were ranked from.  The
-    gbfs-success memo is tagged with the rates and default rate; a call with
-    other ones rebinds it to a fresh memo, leaving the old one to any search
-    reading it.
+
+class _Derived:
+    """What retrieval derives from one ``producers`` mapping, kept on its graph.
+
+    ``rankings`` maps each algorithm to ``(tag, ranked, by_kitchen)``: the
+    rates it ranks by (gbfs-success only), each key's ranked producers, and
+    per kitchen key set the part of each ranking that the kitchen can
+    complete.  ``index`` is ``_compile``'s forward index, made when a search
+    first needs it, and ``levels`` holds ``_levels`` per kitchen key set.
+    """
+
+    __slots__ = ("producers", "rankings", "index", "levels")
+
+    def __init__(self, producers: dict[str, _Units]) -> None:
+        self.producers, self.rankings, self.index, self.levels = producers, {}, None, {}
+
+
+def _for_kitchen(memo: dict, stock: frozenset[str], make: Callable[[], dict]) -> dict:
+    """``memo[stock]``, made by ``make`` on a miss; a full memo drops its oldest entry."""
+    entry = memo.get(stock)
+    if entry is None:
+        if len(memo) >= _KITCHENS:
+            del memo[next(iter(memo))]
+        entry = memo[stock] = make()
+    return entry
+
+
+def _compile(producers: dict[str, _Units]) -> tuple[list[int], list[list[str]], dict]:
+    """The forward index of a producers mapping.
+
+    Lists each producing unit once, by position: its number of distinct
+    input keys and the keys it is listed under.  ``waiting`` maps each key
+    to the positions of the units that take it as an input.
+    """
+    at: dict[int, int] = {}  # id(unit) -> position
+    needs: list[int] = []
+    outputs: list[list[str]] = []
+    waiting: dict[str, list[int]] = {}
+    for key, units in producers.items():
+        for unit in units:
+            position = at.get(id(unit))
+            if position is None:
+                position = at[id(unit)] = len(needs)
+                inputs = dict.fromkeys(unit.input_keys)
+                needs.append(len(inputs))
+                outputs.append([])
+                for want in inputs:
+                    waiting.setdefault(want, []).append(position)
+            outputs[position].append(key)
+    return needs, outputs, waiting
+
+
+def _levels(index: tuple, stock: frozenset[str]) -> dict[str, int]:
+    """The level of every key the kitchen ``stock`` reaches (Knuth 1977).
+
+    A kitchen key has level 0, and a unit whose last distinct input settles
+    at level ``d`` gives each unsettled key it produces level ``d + 1``.
+    Every unit costs 1, so settling the keys layer by layer gives each its
+    minimum.  Keys no unit chain reaches are absent.
+    """
+    needs, outputs, waiting = index
+    left = needs.copy()
+    level = dict.fromkeys(stock, 0)
+    layer, depth = list(level), 0
+    while layer:
+        depth += 1
+        settled = []
+        for key in layer:
+            for position in waiting.get(key, ()):
+                left[position] -= 1
+                if not left[position]:
+                    for out in outputs[position]:
+                        if out not in level:
+                            level[out] = depth
+                            settled.append(out)
+        layer = settled
+    return level
+
+
+def _ranked(
+    graph: FoonGraph, config: RetrievalConfig, rank: _Rank, stock: frozenset[str] | None
+) -> tuple[dict[str, _Units], Callable[[str], _Units]]:
+    """The graph's memo of ``config``'s rankings, and what ranks a key it lacks.
+
+    Everything is kept in the graph's ``_derived``, and dropped once
+    ``graph.producers`` is not the mapping it came from.  The gbfs-success
+    rankings are tagged with the rates and default rate; a call with other
+    ones rebinds them to fresh memos, leaving the old ones to any search
+    reading them.  Given a kitchen's key set ``stock``, the memo keeps only
+    the producers that kitchen can complete, those whose every input has a
+    level: they are filtered from the full ranking, kept too, in its order.
     """
     tag = None
     if config.algorithm == GBFS_SUCCESS:
         profile = config.motion_profile
         tag = (frozenset(profile.rates.items()), profile.default_rate)
-    source, tables = vars(graph).get("_rankings", (None, None))
-    if source is not graph.producers:
-        source, tables = graph._rankings = (graph.producers, {})
-    kept = tables.get(config.algorithm)
+    derived = vars(graph).get("_derived")
+    if derived is None or derived.producers is not graph.producers:
+        derived = graph._derived = _Derived(graph.producers)
+    producers = derived.producers
+    kept = derived.rankings.get(config.algorithm)
     if kept is None or kept[0] != tag:
-        kept = tables[config.algorithm] = (tag, {})
-    return kept[1]
+        kept = derived.rankings[config.algorithm] = (tag, {}, {})
+    _, ranked, by_kitchen = kept
+    if stock is None:
+        return ranked, lambda key: rank(producers.get(key, ()))
+    if derived.index is None:
+        derived.index = _compile(producers)
+    levels = _for_kitchen(derived.levels, stock, lambda: _levels(derived.index, stock))
+    reached = levels.__contains__
+
+    def viable(key: str) -> _Units:
+        units = ranked.get(key)
+        if units is None:
+            units = ranked[key] = rank(producers.get(key, ()))
+        able = tuple([unit for unit in units if all(map(reached, unit.input_keys))])
+        return units if len(able) == len(units) else able
+
+    return _for_kitchen(by_kitchen, stock, dict), viable
 
 
 def retrieve(
@@ -323,11 +432,13 @@ def retrieve(
     short, since every deeper pass would fail the same way.  The greedy
     algorithms run one uncapped pass; with ``config.backtrack`` (the
     default) a failed subtree falls through to the next-best candidate,
-    without it the search commits to its first choice.  Pass ``trace`` to
-    record every choice point (for ids, those of every pass).  Each key's
-    ranked producers are kept on the graph for later calls, those of
-    gbfs-success for the latest rates.  Raises UnknownGoalError for an
-    unknown goal and TaskTreeNotFound when the search fails.
+    without it the search commits to its first choice.  A backtracking
+    greedy search skips the producers the kitchen cannot complete.  Pass
+    ``trace`` to record every choice point (for ids, those of every pass).
+    Each key's ranked producers are kept on the graph for later calls, those
+    of gbfs-success for the latest rates, and so are the levels and filtered
+    rankings of the latest ``_KITCHENS`` kitchens.  Raises UnknownGoalError
+    for an unknown goal and TaskTreeNotFound when the search fails.
     """
     if config is None:
         config = RetrievalConfig()
@@ -340,11 +451,12 @@ def retrieve(
     greedy = config.algorithm != IDS
     caps = (float("inf"),) if greedy else range(config.max_depth + 1)
     stats = RetrievalStats()
-    ranked = _ranked(graph, config)
+    backtrack = config.backtrack or not greedy
+    ranked, rank = _ranked(graph, config, rank, kitchen.keys if greedy and backtrack else None)
     for cap in caps:
         steps, cut = _resolve(
-            graph, kitchen.keys, goal_key, cap=cap, rank=rank, score=score, ranked=ranked,
-            backtrack=config.backtrack or not greedy, stats=stats, trace=trace,
+            kitchen.keys, goal_key, cap=cap, rank=rank, score=score, ranked=ranked,
+            backtrack=backtrack, stats=stats, trace=trace,
         )
         stats.depth_reached = stats.peak_open_set - 1 if greedy else cap
         if steps is not None:

@@ -50,7 +50,7 @@ GOALS = 60
 @functools.lru_cache(maxsize=len(UNIVERSES))
 def _answers(seed, n_units):
     """The universe, and per sampled goal and algorithm: (goal, algorithm,
-    reference level or None, tree or None)."""
+    reference level or None, tree or None, stats)."""
     universe = reference.mixed_universe(seed, n_units)
     units, _diagnostics = parse_foon(universe.foon_text())
     graph = build_graph(units)
@@ -63,10 +63,10 @@ def _answers(seed, n_units):
         for algorithm in ALGORITHMS:
             config = RetrievalConfig(algorithm=algorithm, motion_profile=profile)
             try:
-                tree, _ = retrieve(graph, parse_goal(universe.goal_text(goal)), kitchen, config)
-            except TaskTreeNotFound:
-                tree = None
-            rows.append((goal, algorithm, levels.get(goal), tree))
+                tree, stats = retrieve(graph, parse_goal(universe.goal_text(goal)), kitchen, config)
+            except TaskTreeNotFound as miss:
+                tree, stats = None, miss.stats
+            rows.append((goal, algorithm, levels.get(goal), tree, stats))
     return universe, graph, kitchen, rows
 
 
@@ -82,7 +82,7 @@ def _depth(universe, tree, goal):
 def test_every_algorithm_agrees_with_the_reference(seed, n_units):
     universe, graph, kitchen, rows = _answers(seed, n_units)
     max_depth = RetrievalConfig().max_depth
-    for goal, algorithm, level, tree in rows:
+    for goal, algorithm, level, tree, _stats in rows:
         reachable = level is not None and (algorithm != IDS or level <= max_depth)
         assert (tree is not None) == reachable, (goal, algorithm, level)
         if tree is None:
@@ -100,7 +100,23 @@ def test_ids_depth_equals_the_reference(seed, n_units):
     universe, _graph, _kitchen, rows = _answers(seed, n_units)
     deeper = [
         (goal, level)
-        for goal, algorithm, level, tree in rows
+        for goal, algorithm, level, tree, _stats in rows
         if algorithm == IDS and tree is not None and _depth(universe, tree, goal) != level
     ]
     assert deeper == []
+
+
+@pytest.mark.parametrize("seed, n_units", UNIVERSES)
+def test_greedy_search_skips_what_the_reference_cannot_reach(seed, n_units):
+    universe, graph, kitchen, rows = _answers(seed, n_units)
+    expected = {
+        parse_goal(universe.goal_text(node)).key: level
+        for node, level in reference.min_levels(universe, universe.base).items()
+    }
+    assert graph._derived.levels[kitchen.keys] == expected
+    unreachable = [
+        (goal, algorithm, stats.expanded_units)
+        for goal, algorithm, level, _tree, stats in rows
+        if algorithm != IDS and level is None
+    ]
+    assert unreachable and all(expanded == 0 for _, _, expanded in unreachable), unreachable

@@ -157,11 +157,10 @@ def test_a_unit_listing_an_output_twice_is_one_candidate_for_it(algorithm):
         algorithm=algorithm, motion_profile=MotionProfile({"split": 0.5, "mix": 0.5})
     )
     trace = []
-    with pytest.raises(TaskTreeNotFound) as caught:
-        retrieve(graph, g, Kitchen((ObjectNode("q"),)), config, trace=trace)
+    tree, stats = retrieve(graph, g, Kitchen((k,)), config, trace=trace)
+    assert tree.steps == (split, finish)
     assert {len(record.candidates) for record in trace if record.key == "x|"} == {1}
-    if algorithm != IDS:
-        assert caught.value.stats.expanded_units == 2
+    assert stats.expanded_units == (3 if algorithm == IDS else 2)
 
 
 # --- greedy best-first -----------------------------------------------------
@@ -218,6 +217,26 @@ def test_gbfs_without_backtracking_commits_and_fails():
         assert str(caught.value) == caught.value.reason
 
 
+def test_backtracking_greedy_ranks_only_producers_the_kitchen_can_complete():
+    # No unit makes the phoenix feather that "conjure" needs, so a greedy
+    # search that backtracks never ranks it; ids and a greedy search without
+    # backtracking rank both producers as before.
+    universe = load_universe("dead_end")
+    both = ["conjure", "brew"]
+    for algorithm, backtrack, expected in (
+        (GBFS_SUCCESS, True, ["brew"]), (GBFS_INPUTS, True, ["brew"]),
+        (GBFS_SUCCESS, False, both), (GBFS_INPUTS, False, both), (IDS, True, both),
+    ):
+        trace = []
+        config = _config(universe, algorithm, backtrack=backtrack)
+        try:
+            retrieve(universe.graph, universe.goal, universe.kitchen, config, trace=trace)
+        except TaskTreeNotFound:
+            assert not backtrack
+        ranked = [[unit.motion.label for unit, _ in record.candidates] for record in trace]
+        assert ranked == [expected], (algorithm, backtrack)
+
+
 def test_gbfs_success_requires_a_profile():
     universe = load_universe("ice_cup")
     config = RetrievalConfig(algorithm=GBFS_SUCCESS, motion_profile=None)
@@ -251,9 +270,9 @@ def test_greedy_depth_reached_is_the_deepest_subgoal_request(algorithm, name):
     config = _config(universe, algorithm)
     try:
         _, stats = retrieve(universe.graph, universe.goal, universe.kitchen, config)
-    except TaskTreeNotFound as miss:  # freeze_thaw
+    except TaskTreeNotFound as miss:  # freeze_thaw: unreachable, so nothing is expanded
         stats = miss.stats
-    deepest = {"cold_water": 2, "freeze_thaw": 2, "diamond": 2}.get(name, 1)
+    deepest = {"cold_water": 2, "freeze_thaw": 0, "diamond": 2}.get(name, 1)
     assert stats.depth_reached == deepest == stats.peak_open_set - 1
 
 
@@ -315,6 +334,19 @@ def test_gbfs_success_ignores_missing_rates_of_units_it_never_reaches():
     assert _motions(tree) == ["chop"]
 
 
+def test_gbfs_success_needs_no_rate_beneath_a_producer_the_kitchen_cannot_complete():
+    # "g" needs "z", which nothing makes, so its producer is never expanded
+    # and "a", made by a motion without a rate, is never ranked.  Without
+    # backtracking the search expands it, ranks "a" and raises.
+    units = [_plain_unit(("a", "z"), "mix", "g", 0), _plain_unit(("k",), "mystery", "a", 1)]
+    graph, kitchen = build_graph(units), Kitchen((ObjectNode("k"),))
+    config = RetrievalConfig(algorithm=GBFS_SUCCESS, motion_profile=MotionProfile({"mix": 0.5}))
+    with pytest.raises(TaskTreeNotFound):
+        retrieve(graph, ObjectNode("g"), kitchen, config)
+    with pytest.raises(MissingMotionRateError, match="'mystery'"):
+        retrieve(graph, ObjectNode("g"), kitchen, dataclasses.replace(config, backtrack=False))
+
+
 @pytest.mark.parametrize("algorithm", [IDS, GBFS_SUCCESS, GBFS_INPUTS])
 def test_trace_candidates_carry_float_scores(algorithm):
     universe = load_universe("diamond")
@@ -357,7 +389,7 @@ def test_unreachable_goal_raises_not_found(algorithm):
     assert caught.value.reason == (
         "no task tree at any depth after 3 unit expansions"
         if algorithm == IDS
-        else "greedy search exhausted every candidate ordering after 2 unit expansions"
+        else "greedy search exhausted every candidate ordering after 0 unit expansions"
     )
 
 
@@ -718,6 +750,51 @@ def test_copies_and_pickles_of_a_graph_leave_its_rankings_behind():
         _steps(graph, kitchen, algorithm, MotionProfile({"chop": 0.1, "pour": 0.9}))
     assert pickle.dumps(graph) == fresh
     for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(fresh)):
+        assert twin == graph and vars(twin).keys() == {"units", "producers", "duplicates_dropped"}
+
+
+def test_kitchen_data_kept_on_a_graph_stays_bounded_whatever_the_kitchens():
+    # 40 keys of two producers each feed the goal.  Each of 100 kitchens
+    # holds "k" and one item of its own, so each has levels and rankings of
+    # its own; kept for every kitchen they would retain over 400 kB here.
+    units = [_plain_unit([f"n{i}" for i in range(40)], "serve", "g", 0)]
+    for i in range(40):
+        units += [_plain_unit(("k",), "chop", f"n{i}", 2 * i + 1),
+                  _plain_unit(("k",), "pour", f"n{i}", 2 * i + 2)]
+    graph = build_graph(units)
+    profile = MotionProfile({"chop": 0.9, "pour": 0.5}, 1.0)
+
+    def retained_after(extras):
+        for extra in extras:
+            kitchen = Kitchen((ObjectNode("k"), ObjectNode(f"extra {extra}")))
+            for algorithm in (GBFS_SUCCESS, GBFS_INPUTS):
+                assert len(_steps(graph, kitchen, algorithm, profile)) == 41
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        early = retained_after(range(8))
+        late = retained_after(range(8, 100))
+    finally:
+        tracemalloc.stop()
+    assert late - early < 32 * 1024
+    derived = graph._derived
+    assert len(derived.levels) == 8
+    assert [len(by_kitchen) for _, _, by_kitchen in derived.rankings.values()] == [8, 8]
+
+
+def test_copies_and_pickles_made_after_greedy_retrievals_carry_no_kitchen_data():
+    graph, _ = _chop_or_pour()
+    fresh = pickle.dumps(graph)
+    profile = MotionProfile({"chop": 0.1, "pour": 0.9})
+    for extra in ("p", "q", "r"):
+        kitchen = Kitchen((ObjectNode("k"), ObjectNode(extra)))
+        for algorithm in (GBFS_SUCCESS, GBFS_INPUTS):
+            _steps(graph, kitchen, algorithm, profile)
+    assert len(graph._derived.levels) == 3
+    assert pickle.dumps(graph) == fresh
+    for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
         assert twin == graph and vars(twin).keys() == {"units", "producers", "duplicates_dropped"}
 
 
