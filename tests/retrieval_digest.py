@@ -35,8 +35,7 @@ def _outcome(graph, goal, kitchen, config) -> tuple[str, str]:
     trace: list = []
     try:
         tree, stats = foon.retrieve(graph, goal, kitchen, config, trace=trace)
-        steps = [unit.source_index for unit in tree.steps]
-        answer = [steps, tree.goal_key, tree.algorithm_tag]
+        answer = [[unit.source_index for unit in tree.steps], tree.goal_key, tree.algorithm_tag]
         found = [True, *answer]
     except foon.TaskTreeNotFound as miss:
         answer, stats, found = miss.reason, miss.stats, [False]
