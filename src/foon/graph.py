@@ -296,9 +296,10 @@ class FoonGraph:
     file order, each unit once.  ``retrieve`` keeps what it derives from
     ``producers`` in one private slot while it is the same mapping: each
     algorithm's producer rankings (those of gbfs-success for the latest
-    rates), a forward index, and the levels of the latest 8 kitchens.  Copies
-    and pickles leave the slot behind.  Treat a graph as immutable once
-    built: the slot outlives a change made inside the ``producers`` mapping.
+    rates), and for the latest 8 kitchens the keys found made and unmade and
+    the rankings filtered to what each can complete.  Copies and pickles
+    leave the slot behind.  Treat a graph as immutable once built: the slot
+    outlives a change made inside the ``producers`` mapping.
     """
 
     units: tuple[FunctionalUnit, ...]

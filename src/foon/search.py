@@ -16,11 +16,19 @@ ranks producers by a heuristic score (motion success rate, descending, or
 input-object count, ascending; ties fall back to file order) in one
 uncapped pass, backtracking to the next-best candidate when a subtree fails
 unless backtracking is disabled.  A greedy search that backtracks ranks only
-the producers the kitchen can complete, those whose every input a forward
-level pass from the kitchen reaches: any other one always fails, and its
-failure rolls back all it placed, so skipping it changes no tree, only the
-work done.  An unreachable goal thus fails with no expansion.  ids and a
-greedy search without backtracking rank every producer.
+the producers the kitchen can complete, those whose every input some chain
+of units makes from the kitchen: any other one always fails, and its failure
+rolls back all it placed, so skipping it changes no tree, only the work
+done.  An unreachable goal thus fails with no expansion.  ids and a greedy
+search without backtracking rank every producer.
+
+Which keys a kitchen makes is decided top-down, only for the keys a search
+asks about, and kept per kitchen key set for the latest few kitchens.  The
+first search in a kitchen runs on the full ranking and decides only the
+candidates that fail: one the kitchen cannot complete is taken back out of
+the stats, as if never ranked, and a later one with an input known unmade
+is skipped.  A search in a kitchen seen before filters each ranking once.
+Both report the same stats.
 
 Depth bookkeeping: a kitchen-satisfied key costs 0; a unit's chain depth is
 one more than the deepest of its input resolutions.  Reusing a previously
@@ -37,9 +45,7 @@ the same decisions and fail the same way.
 The search keys its per-pass maps by strings and unit identity, never by a
 unit's dataclass hash.  It ranks each key's producers once per graph into a
 plain tuple of units, kept on the graph for every later retrieval that ranks
-the same way; scores are paired with candidates only for a trace.  The
-levels, and the rankings filtered by them, are kept per kitchen key set for
-the latest few kitchens.
+the same way; scores are paired with candidates only for a trace.
 It resolves over an explicit stack of frames, one per key being expanded,
 so a chain's depth is bounded by memory, not by the recursion limit.  Each
 frame holds an iterator over its candidate's pending inputs, so a frame
@@ -145,6 +151,7 @@ def _resolve(
     rank: Callable[[str], _Units],
     score: _Score,
     ranked: dict[str, _Units],
+    verdicts: _Verdicts | None,
     backtrack: bool,
     stats: RetrievalStats,
     trace: list[ChoiceRecord] | None = None,
@@ -155,7 +162,10 @@ def _resolve(
     the search failed) and whether the cap refused any request.  ``ranked``
     memoizes ``rank``, a key's candidates in order, and is shared by every
     pass of every retrieval that ranks the same way; ``score`` is called only
-    to fill ``trace``.
+    to fill ``trace``.  Given a kitchen's ``verdicts``, a candidate with an
+    input known unmade is skipped, and one that fails is decided: if the
+    kitchen cannot complete it, the stats go back to what they were before
+    it, as if it were never ranked.  ``saved`` holds them.
 
     ``log`` lists the resolutions as ``(key, unit placed or None)``, and its
     placed units are the steps.  A frame's key holds the in-progress mark -1
@@ -176,7 +186,7 @@ def _resolve(
     # pops the log back to it.  The root frame (key None) stands for a unit
     # whose one input is the goal.
     key, depth, candidates, choices, index = None, -1, (), iter(()), 0
-    pending, deepest, mark = iter((goal_key,)), 0, 0
+    pending, deepest, mark, saved = iter((goal_key,)), 0, 0, None
     while True:
         # Resolve the pending inputs, stopping at the first that fails or
         # needs a frame of its own; a resumed frame goes on after that one.
@@ -204,7 +214,8 @@ def _resolve(
             if found is None:
                 found = ranked[want] = rank(want)
             if found:
-                stack.append((key, depth, candidates, choices, index, pending, deepest, mark))
+                frame = (key, depth, candidates, choices, index, pending, deepest, mark, saved)
+                stack.append(frame)
                 key, depth, candidates, index = want, at, found, -1
                 choices = iter(found if backtrack else found[:1])
                 resolved[key], mark = -1, len(log)
@@ -227,10 +238,19 @@ def _resolve(
                     del resolved[done]
                     if unit is not None:
                         del placed[id(unit)]
+                # ``want`` is the input the failed candidate stopped at, and
+                # ``pending`` holds the inputs it never reached.
+                if verdicts is not None and index >= 0 and not verdicts.makes((want, *pending)):
+                    expanded, peak = saved
                 for unit in choices:
                     index += 1
                     reused = placed.get(id(unit))
                     if reused is None:
+                        if verdicts is not None:
+                            unmade = verdicts.unmade
+                            if unmade and not unmade.isdisjoint(unit.input_keys):
+                                continue  # the kitchen cannot complete it
+                            saved = expanded, peak
                         break
                     if depth + reused <= cap:
                         outcome = resolved[key] = reused
@@ -240,6 +260,8 @@ def _resolve(
                 else:
                     unit = None  # every candidate failed
                     del resolved[key]
+                    if verdicts is not None:
+                        verdicts.settle(key, candidates)
                 if outcome is None and unit is not None:  # expand it
                     expanded += 1
                     pending, deepest = iter(unit.input_keys), 0
@@ -248,7 +270,8 @@ def _resolve(
                 accepted = None if outcome is None else index
                 scored = tuple([(unit, score(unit)) for unit in candidates])
                 trace.append(ChoiceRecord(key, scored, accepted))
-            key, depth, candidates, choices, index, pending, deepest, mark = stack.pop()
+            want = key  # the input its candidate failed at, if it failed
+            key, depth, candidates, choices, index, pending, deepest, mark, saved = stack.pop()
             if outcome is not None:
                 if outcome > deepest:
                     deepest = outcome
@@ -293,7 +316,7 @@ def _ranking(config: RetrievalConfig) -> tuple[_Rank, _Score]:
     return rank, score
 
 
-_KITCHENS = 8  # kitchens whose levels and rankings a graph keeps, the latest ones
+_KITCHENS = 8  # kitchens whose verdicts and filtered rankings a graph keeps
 
 
 class _Derived:
@@ -302,17 +325,17 @@ class _Derived:
     ``rankings`` maps each algorithm to ``(tag, ranked, by_kitchen)``: the
     rates it ranks by (gbfs-success only), each key's ranked producers, and
     per kitchen key set the part of each ranking that the kitchen can
-    complete.  ``index`` is ``_compile``'s forward index, made when a search
-    first needs it, and ``levels`` holds ``_levels`` per kitchen key set.
+    complete.  ``kitchens`` maps a kitchen key set to its ``_Verdicts``.
+    Both keep the latest ``_KITCHENS`` kitchens.
     """
 
-    __slots__ = ("producers", "rankings", "index", "levels")
+    __slots__ = ("producers", "rankings", "kitchens")
 
     def __init__(self, producers: dict[str, _Units]) -> None:
-        self.producers, self.rankings, self.index, self.levels = producers, {}, None, {}
+        self.producers, self.rankings, self.kitchens = producers, {}, {}
 
 
-def _for_kitchen(memo: dict, stock: frozenset[str], make: Callable[[], dict]) -> dict:
+def _for_kitchen(memo: dict, stock: frozenset[str], make: Callable[[], object]):
     """``memo[stock]``, made by ``make`` on a miss; a full memo drops its oldest entry."""
     entry = memo.get(stock)
     if entry is None:
@@ -322,70 +345,17 @@ def _for_kitchen(memo: dict, stock: frozenset[str], make: Callable[[], dict]) ->
     return entry
 
 
-def _compile(producers: dict[str, _Units]) -> tuple[list[int], list[list[str]], dict]:
-    """The forward index of a producers mapping.
-
-    Lists each producing unit once, by position: its number of distinct
-    input keys and the keys it is listed under.  ``waiting`` maps each key
-    to the positions of the units that take it as an input.
-    """
-    at: dict[int, int] = {}  # id(unit) -> position
-    needs: list[int] = []
-    outputs: list[list[str]] = []
-    waiting: dict[str, list[int]] = {}
-    for key, units in producers.items():
-        for unit in units:
-            position = at.get(id(unit))
-            if position is None:
-                position = at[id(unit)] = len(needs)
-                inputs = dict.fromkeys(unit.input_keys)
-                needs.append(len(inputs))
-                outputs.append([])
-                for want in inputs:
-                    waiting.setdefault(want, []).append(position)
-            outputs[position].append(key)
-    return needs, outputs, waiting
-
-
-def _levels(index: tuple, stock: frozenset[str]) -> dict[str, int]:
-    """The level of every key the kitchen ``stock`` reaches (Knuth 1977).
-
-    A kitchen key has level 0, and a unit whose last distinct input settles
-    at level ``d`` gives each unsettled key it produces level ``d + 1``.
-    Every unit costs 1, so settling the keys layer by layer gives each its
-    minimum.  Keys no unit chain reaches are absent.
-    """
-    needs, outputs, waiting = index
-    left = needs.copy()
-    level = dict.fromkeys(stock, 0)
-    layer, depth = list(level), 0
-    while layer:
-        depth += 1
-        settled = []
-        for key in layer:
-            for position in waiting.get(key, ()):
-                left[position] -= 1
-                if not left[position]:
-                    for out in outputs[position]:
-                        if out not in level:
-                            level[out] = depth
-                            settled.append(out)
-        layer = settled
-    return level
-
-
 def _ranked(
-    graph: FoonGraph, config: RetrievalConfig, rank: _Rank, stock: frozenset[str] | None
-) -> tuple[dict[str, _Units], Callable[[str], _Units]]:
-    """The graph's memo of ``config``'s rankings, and what ranks a key it lacks.
+    graph: FoonGraph, config: RetrievalConfig, rank: _Rank
+) -> tuple[dict[str, _Units], Callable[[str], _Units], dict]:
+    """The graph's memo of ``config``'s rankings, what ranks a key it lacks,
+    and the memo's per-kitchen part.
 
     Everything is kept in the graph's ``_derived``, and dropped once
     ``graph.producers`` is not the mapping it came from.  The gbfs-success
     rankings are tagged with the rates and default rate; a call with other
     ones rebinds them to fresh memos, leaving the old ones to any search
-    reading them.  Given a kitchen's key set ``stock``, the memo keeps only
-    the producers that kitchen can complete, those whose every input has a
-    level: they are filtered from the full ranking, kept too, in its order.
+    reading them.
     """
     tag = None
     if config.algorithm == GBFS_SUCCESS:
@@ -398,22 +368,120 @@ def _ranked(
     kept = derived.rankings.get(config.algorithm)
     if kept is None or kept[0] != tag:
         kept = derived.rankings[config.algorithm] = (tag, {}, {})
-    _, ranked, by_kitchen = kept
-    if stock is None:
-        return ranked, lambda key: rank(producers.get(key, ()))
-    if derived.index is None:
-        derived.index = _compile(producers)
-    levels = _for_kitchen(derived.levels, stock, lambda: _levels(derived.index, stock))
-    reached = levels.__contains__
+    return kept[1], (lambda key: rank(producers.get(key, ()))), kept[2]
 
-    def viable(key: str) -> _Units:
-        units = ranked.get(key)
-        if units is None:
-            units = ranked[key] = rank(producers.get(key, ()))
-        able = tuple([unit for unit in units if all(map(reached, unit.input_keys))])
-        return units if len(able) == len(units) else able
 
-    return _for_kitchen(by_kitchen, stock, dict), viable
+class _Verdicts:
+    """What one kitchen, ``stock``, makes and cannot make, as found so far."""
+
+    __slots__ = ("producers", "stock", "made", "unmade")
+
+    def __init__(self, producers: dict[str, _Units], stock: frozenset[str]) -> None:
+        self.producers, self.stock, self.made, self.unmade = producers, stock, set(), set()
+
+    def makes(self, keys) -> bool:
+        """Whether the kitchen makes every key of ``keys``."""
+        stock, made, unmade = self.stock, self.made, self.unmade
+        for want in keys:
+            if want not in stock and want not in made:
+                if want in unmade or not self._decide(want):
+                    return False
+        return True
+
+    def _decide(self, goal: str) -> bool:
+        """Whether some chain of units makes ``goal`` from the kitchen.
+
+        A depth-first proof over the AND/OR graph that adds each key it
+        decides to ``made`` or ``unmade``: a key is made when one of its
+        producers, tried in file order, has every input in stock or made.  A
+        producer fails at its first unmade input, so a proof reads only the
+        keys it needs.  A key met again on the path counts as unmade.  A key
+        whose failure rests on such a key further up the path is undecided
+        until that key is: unmade if that key fails, forgotten if it is made.
+        The verdicts are those of Knuth's (1977) least fixpoint, reached
+        top-down.
+        """
+        producers, stock, made, unmade = self.producers, self.stock, self.made, self.unmade
+        path: dict[str, int] = {goal: 0}  # key -> position on the path
+        undecided: list[str] = []  # keys whose failure rests on a key up the path
+        stack: list[tuple] = []  # the suspended frames, innermost last
+        # The current frame tries to make ``key``: ``units`` yields its
+        # producers not yet tried, ``inputs`` the current one's inputs not yet
+        # made (None between producers).  ``low`` is the position nearest the
+        # goal that a failure under it rests on, its own at first; ``mark`` is
+        # the length of ``undecided`` when it was pushed.
+        key, units, inputs, low, mark = goal, iter(producers.get(goal, ())), None, 0, 0
+        while True:
+            outcome = None
+            if inputs is None:
+                unit = next(units, None)
+                if unit is None:
+                    outcome = False
+                else:
+                    inputs = iter(unit.input_keys)
+            if outcome is None:
+                for want in inputs:
+                    if want in stock or want in made:
+                        continue
+                    if want not in unmade:
+                        at = path.get(want)
+                        if at is None:  # try to make it
+                            stack.append((key, units, inputs, low, mark))
+                            key, units, inputs = want, iter(producers.get(want, ())), None
+                            low = path[key] = len(stack)
+                            mark = len(undecided)
+                            break
+                        if at < low:
+                            low = at
+                    inputs = None  # the producer fails
+                    break
+                else:
+                    outcome = True
+                if outcome is None:
+                    continue
+            # The frame is settled: record it and resume its parent.
+            at = path.pop(key)
+            if outcome:
+                made.add(key)
+                del undecided[mark:]
+            elif low >= at:  # it rests on nothing up the path, nor do the keys under it
+                unmade.update(undecided[mark:])
+                del undecided[mark:]
+                unmade.add(key)
+            else:
+                undecided.append(key)
+            if not stack:
+                return outcome
+            under = low
+            key, units, inputs, low, mark = stack.pop()
+            if not outcome:
+                inputs = None
+                if under < low:
+                    low = under
+
+    def settle(self, key: str, candidates: _Units) -> None:
+        """Record ``key``, once a search has tried all its ``candidates``:
+        it is made when one of them has no unmade input."""
+        unmade = self.unmade
+        able = any([unmade.isdisjoint(unit.input_keys) for unit in candidates])
+        (self.made if able else unmade).add(key)
+
+    def filtered(
+        self, ranked: dict[str, _Units], rank: Callable[[str], _Units], by_kitchen: dict
+    ) -> tuple[dict[str, _Units], Callable[[str], _Units]]:
+        """The kitchen's memo, kept in ``by_kitchen``, of the producers it can
+        complete, and what filters them from the full ranking of a key the
+        memo lacks."""
+        makes = self.makes
+
+        def viable(key: str) -> _Units:
+            units = ranked.get(key)
+            if units is None:
+                units = ranked[key] = rank(key)
+            able = tuple([unit for unit in units if makes(unit.input_keys)])
+            return units if len(able) == len(units) else able
+
+        return _for_kitchen(by_kitchen, self.stock, dict), viable
 
 
 def retrieve(
@@ -436,33 +504,57 @@ def retrieve(
     greedy search skips the producers the kitchen cannot complete.  Pass
     ``trace`` to record every choice point (for ids, those of every pass).
     Each key's ranked producers are kept on the graph for later calls, those
-    of gbfs-success for the latest rates, and so are the levels and filtered
-    rankings of the latest ``_KITCHENS`` kitchens.  Raises UnknownGoalError
-    for an unknown goal and TaskTreeNotFound when the search fails.
+    of gbfs-success for the latest rates, and so is what the latest
+    ``_KITCHENS`` kitchens can make.  Raises UnknownGoalError for an unknown
+    goal and TaskTreeNotFound when the search fails.
+
+    A backtracking greedy search in a kitchen the graph keeps nothing for
+    runs on the full ranking and decides only the candidates that fail (see
+    ``_resolve``); a missing rate it meets may lie beneath a unit the
+    kitchen cannot complete, so the filtered search then runs instead.
     """
     if config is None:
         config = RetrievalConfig()
     rank, score = _ranking(config)
-    goal_key = goal.key
+    goal_key, stock = goal.key, kitchen.keys
     if goal_key not in graph.producers and goal_key not in kitchen:
         raise UnknownGoalError(
             f"goal {goal_key!r} is neither produced by any unit nor in the kitchen"
         )
     greedy = config.algorithm != IDS
     caps = (float("inf"),) if greedy else range(config.max_depth + 1)
-    stats = RetrievalStats()
     backtrack = config.backtrack or not greedy
-    ranked, rank = _ranked(graph, config, rank, kitchen.keys if greedy and backtrack else None)
-    for cap in caps:
-        steps, cut = _resolve(
-            kitchen.keys, goal_key, cap=cap, rank=rank, score=score, ranked=ranked,
-            backtrack=backtrack, stats=stats, trace=trace,
-        )
-        stats.depth_reached = stats.peak_open_set - 1 if greedy else cap
-        if steps is not None:
-            return TaskTree(tuple(steps), goal_key, config.algorithm), stats
-        if not cut:
-            break
+
+    def search(ranked, rank, verdicts):
+        stats = RetrievalStats()
+        for cap in caps:
+            steps, cut = _resolve(
+                stock, goal_key, cap=cap, rank=rank, score=score, ranked=ranked,
+                verdicts=verdicts, backtrack=backtrack, stats=stats, trace=trace,
+            )
+            stats.depth_reached = stats.peak_open_set - 1 if greedy else cap
+            if steps is not None or not cut:
+                break
+        return steps, cut, stats
+
+    ranked, rank, by_kitchen = _ranked(graph, config, rank)
+    verdicts = None  # for a search on the full ranking that checks each failed candidate
+    if greedy and config.backtrack:
+        kitchens = graph._derived.kitchens
+        seen = stock in kitchens
+        kept = _for_kitchen(kitchens, stock, lambda: _Verdicts(graph.producers, stock))
+        if seen or trace is not None:
+            ranked, rank = kept.filtered(ranked, rank, by_kitchen)
+        else:
+            verdicts = kept
+    try:
+        steps, cut, stats = search(ranked, rank, verdicts)
+    except MissingMotionRateError:
+        if verdicts is None:
+            raise
+        steps, cut, stats = search(*verdicts.filtered(ranked, rank, by_kitchen), None)
+    if steps is not None:
+        return TaskTree(tuple(steps), goal_key, config.algorithm), stats
     if not greedy:
         bound = f"within depth limit {config.max_depth}" if cut else "at any depth"
         regime = f"no task tree {bound}"

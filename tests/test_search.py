@@ -337,14 +337,24 @@ def test_gbfs_success_ignores_missing_rates_of_units_it_never_reaches():
 def test_gbfs_success_needs_no_rate_beneath_a_producer_the_kitchen_cannot_complete():
     # "g" needs "z", which nothing makes, so its producer is never expanded
     # and "a", made by a motion without a rate, is never ranked.  Without
-    # backtracking the search expands it, ranks "a" and raises.
+    # backtracking the search expands it, ranks "a" and raises.  Given a
+    # second producer of "g", ranked below the first, the search that skips
+    # the first returns the second's tree.
     units = [_plain_unit(("a", "z"), "mix", "g", 0), _plain_unit(("k",), "mystery", "a", 1)]
-    graph, kitchen = build_graph(units), Kitchen((ObjectNode("k"),))
-    config = RetrievalConfig(algorithm=GBFS_SUCCESS, motion_profile=MotionProfile({"mix": 0.5}))
-    with pytest.raises(TaskTreeNotFound):
-        retrieve(graph, ObjectNode("g"), kitchen, config)
-    with pytest.raises(MissingMotionRateError, match="'mystery'"):
-        retrieve(graph, ObjectNode("g"), kitchen, dataclasses.replace(config, backtrack=False))
+    kitchen = Kitchen((ObjectNode("k"),))
+    profile = MotionProfile({"mix": 0.5, "chop": 0.4})
+    config = RetrievalConfig(algorithm=GBFS_SUCCESS, motion_profile=profile)
+    committed = dataclasses.replace(config, backtrack=False)
+    for more, answer in (([], None), ([_plain_unit(("k",), "chop", "g", 2)], ["chop"])):
+        graph = build_graph(units + more)
+        for _ in range(2):  # in a new kitchen, and in one the graph has kept
+            if answer is None:
+                with pytest.raises(TaskTreeNotFound):
+                    retrieve(graph, ObjectNode("g"), kitchen, config)
+            else:
+                assert _motions(retrieve(graph, ObjectNode("g"), kitchen, config)[0]) == answer
+        with pytest.raises(MissingMotionRateError, match="'mystery'"):
+            retrieve(graph, ObjectNode("g"), kitchen, committed)
 
 
 @pytest.mark.parametrize("algorithm", [IDS, GBFS_SUCCESS, GBFS_INPUTS])
@@ -755,8 +765,9 @@ def test_copies_and_pickles_of_a_graph_leave_its_rankings_behind():
 
 def test_kitchen_data_kept_on_a_graph_stays_bounded_whatever_the_kitchens():
     # 40 keys of two producers each feed the goal.  Each of 100 kitchens
-    # holds "k" and one item of its own, so each has levels and rankings of
-    # its own; kept for every kitchen they would retain over 400 kB here.
+    # holds "k" and one item of its own, so each has verdicts and, from its
+    # second search on, filtered rankings of its own; kept for every kitchen
+    # they would retain over 400 kB here.
     units = [_plain_unit([f"n{i}" for i in range(40)], "serve", "g", 0)]
     for i in range(40):
         units += [_plain_unit(("k",), "chop", f"n{i}", 2 * i + 1),
@@ -767,7 +778,7 @@ def test_kitchen_data_kept_on_a_graph_stays_bounded_whatever_the_kitchens():
     def retained_after(extras):
         for extra in extras:
             kitchen = Kitchen((ObjectNode("k"), ObjectNode(f"extra {extra}")))
-            for algorithm in (GBFS_SUCCESS, GBFS_INPUTS):
+            for algorithm in (GBFS_SUCCESS, GBFS_INPUTS, GBFS_SUCCESS, GBFS_INPUTS):
                 assert len(_steps(graph, kitchen, algorithm, profile)) == 41
         gc.collect()
         return tracemalloc.get_traced_memory()[0]
@@ -780,7 +791,7 @@ def test_kitchen_data_kept_on_a_graph_stays_bounded_whatever_the_kitchens():
         tracemalloc.stop()
     assert late - early < 32 * 1024
     derived = graph._derived
-    assert len(derived.levels) == 8
+    assert len(derived.kitchens) == 8
     assert [len(by_kitchen) for _, _, by_kitchen in derived.rankings.values()] == [8, 8]
 
 
@@ -792,10 +803,38 @@ def test_copies_and_pickles_made_after_greedy_retrievals_carry_no_kitchen_data()
         kitchen = Kitchen((ObjectNode("k"), ObjectNode(extra)))
         for algorithm in (GBFS_SUCCESS, GBFS_INPUTS):
             _steps(graph, kitchen, algorithm, profile)
-    assert len(graph._derived.levels) == 3
+    assert len(graph._derived.kitchens) == 3
     assert pickle.dumps(graph) == fresh
     for twin in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
         assert twin == graph and vars(twin).keys() == {"units", "producers", "duplicates_dropped"}
+
+
+def _answer(graph, goal, kitchen, config, trace=None):
+    try:
+        tree, stats = retrieve(graph, goal, kitchen, config, trace=trace)
+        return [unit.source_index for unit in tree.steps], stats
+    except TaskTreeNotFound as miss:
+        return miss.reason, miss.stats
+    except MissingMotionRateError as error:
+        return str(error), None
+
+
+@pytest.mark.parametrize("algorithm", [GBFS_SUCCESS, GBFS_INPUTS])
+def test_a_greedy_search_reports_the_same_whatever_its_graph_kept_for_the_kitchen(algorithm):
+    # The first search in a kitchen runs on the full ranking and takes each
+    # failed candidate the kitchen cannot complete back out of its stats; a
+    # later search there, or one with a trace, filters the ranking instead.
+    # A profile of one rate leaves the other motions without one.
+    for seed in range(400):
+        graph, goal, kitchen, profile = random_universe(random.Random(seed))
+        for rates in (profile, MotionProfile(dict([min(profile.rates.items())]))):
+            config = RetrievalConfig(algorithm=algorithm, motion_profile=rates)
+            fresh = build_graph(graph.units)
+            first = _answer(fresh, goal, kitchen, config)
+            assert kitchen.keys in fresh._derived.kitchens
+            assert _answer(fresh, goal, kitchen, config) == first, seed
+            traced = _answer(build_graph(graph.units), goal, kitchen, config, trace=[])
+            assert traced == first, seed
 
 
 # --- determinism and config -----------------------------------------------
