@@ -167,7 +167,7 @@ def _count(number: int, noun: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _load_graph(path: str) -> FoonGraph:

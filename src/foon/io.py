@@ -14,19 +14,24 @@ object blocks.  Blank lines are ignored, trailing whitespace (including
 stray tabs) is tolerated, and a final unit without a closing separator is
 accepted.  Kitchen and goal files reuse the object-block syntax only.
 
-The universe reader parses each distinct O, S and M line once per call,
-builds each distinct run of a block's S lines into one state set, and every
-copy of a block (its O line plus the S lines that parsed, as read) shares
-one ObjectNode.  A line that fails to parse is never memoized, so each copy
-of it is reported at its own line number.  The kitchen and goal reader,
-whose small files seldom repeat a line, memoizes only S lines and builds one
-node per block.  Both share the line grammar and its messages, and neither
-keeps anything across calls.
+The universe reader is one loop.  It parses each distinct O, S and M line
+once per call, memoized by the raw line (whose tag is part of it), builds
+each distinct run of a block's S lines into one state set, and every copy of
+a block (its O line plus the S lines that parsed, as read) shares one
+ObjectNode.  A line that fails to parse is never memoized, so each copy of
+it is reported at its own line number.  A unit's first error breaks it: the
+unit is dropped at its separator, and until then only a line's own grammar
+errors are reported.  The kitchen and goal reader, whose small files seldom
+repeat a line, memoizes only S lines and builds one node per block.  Both
+share the line grammar and its messages, and neither keeps anything across
+calls.  Bytes given to ``parse_foon`` may start with a UTF-8 byte-order
+mark, which is skipped; text is read as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ParseError
 from .graph import (
@@ -96,113 +101,22 @@ def _parse_state_line(fields: list[str], lineno: int) -> StateDescriptor:
     )
 
 
-class _Reader:
-    """Reads a universe file's object blocks and assembles them into units.
+def _parse_motion_line(fields: list[str], lineno: int) -> Motion:
+    if len(fields) < 2 or not fields[1]:
+        raise ParseError("motion line needs a label", lineno)
+    return Motion(fields[1], tuple(fields[2:]))
 
-    ``open`` starts a block at an O line and ``add_state`` adds an S line to
-    it.  A closed block's node joins the open unit's inputs, or its outputs
-    once the unit has a motion.  A malformed line marks the current unit
-    broken; the unit is dropped at the next separator without a second
-    diagnostic, and parsing continues.  One reader, and its memos, serve one
-    call.
-    """
 
-    def __init__(self) -> None:
-        self.heads: dict[str, tuple[str, int]] = {}  # raw O line -> name, flag
-        self.states: dict[str, StateDescriptor] = {}
-        self.motions: dict[str, Motion] = {}
-        self.state_sets: dict[tuple[str, ...], frozenset[StateDescriptor]] = {}
-        self.nodes: dict[tuple[str, ...], ObjectNode] = {}  # a block's raw lines -> node
-        self.lines: list[str] = []  # the open block's raw lines; empty if none
-        self.start = 0  # the open block's O line number
-        self.units: list[FunctionalUnit] = []
-        self.diagnostics: list[ParseDiagnostic] = []
-        self.inputs: list[ObjectNode] = []
-        self.outputs: list[tuple[ObjectNode, int]] = []
-        self.motion: Motion | None = None
-        self.broken = False
+_LINE_PARSERS = {"O": _parse_object_line, "S": _parse_state_line, "M": _parse_motion_line}
 
-    def open(self, line: str, lineno: int) -> None:
-        if line not in self.heads:
-            self.heads[line] = _parse_object_line(_split_fields(line), lineno)
-        self.close()
-        self.lines, self.start = [line], lineno
 
-    def add_state(self, line: str, lineno: int) -> bool:
-        """Parse an S line into the open block; False when none is open."""
-        if line not in self.states:
-            self.states[line] = _parse_state_line(_split_fields(line), lineno)
-        if not self.lines:
-            return False
-        self.lines.append(line)
-        return True
-
-    def close(self) -> None:
-        if not self.lines:
-            return
-        text = tuple(self.lines)
-        node = self.nodes.get(text)
-        if node is None:
-            name, flag = self.heads[text[0]]
-            lines = text[1:]
-            if lines not in self.state_sets:
-                self.state_sets[lines] = frozenset(map(self.states.__getitem__, lines))
-            node = self.nodes[text] = ObjectNode(name, self.state_sets[lines], flag)
-        self.lines = []
-        if self.motion is None:
-            self.inputs.append(node)
-        else:
-            self.outputs.append((node, self.start))
-
-    def set_motion(self, line: str, lineno: int) -> None:
-        self.close()
-        motion = self.motions.get(line)
-        if motion is None:
-            fields = _split_fields(line)
-            if len(fields) < 2 or not fields[1]:
-                raise ParseError("motion line needs a label", lineno)
-            motion = self.motions[line] = Motion(fields[1], tuple(fields[2:]))
-        if self.motion is not None or not self.inputs:
-            if self.broken:
-                return  # consequence of an already-reported problem
-            if self.motion is not None:
-                raise ParseError("second motion line within one unit", lineno)
-            raise ParseError("motion line with no input objects before it", lineno)
-        self.motion = motion
-
-    def finish_unit(self, lineno: int) -> None:
-        self.close()
-        pending = bool(self.inputs or self.outputs or self.motion is not None)
-        if pending and not self.broken:
-            if self.motion is None:
-                self.diagnostics.append(
-                    ParseDiagnostic(lineno, ERROR, "unit is missing its motion line")
-                )
-            elif not self.outputs:
-                self.diagnostics.append(
-                    ParseDiagnostic(lineno, ERROR, "unit has no output objects")
-                )
-            else:
-                self._emit()
-        self.inputs = []
-        self.outputs = []
-        self.motion = None
-        self.broken = False
-
-    def _emit(self) -> None:
-        assert self.motion is not None
-        outputs = [node for node, _ in self.outputs]
-        unit = FunctionalUnit(self.inputs, self.motion, outputs, len(self.units))
-        for key, (_, node_line) in zip(unit.output_keys, self.outputs):
-            if key in unit.input_keys:
-                self.diagnostics.append(
-                    ParseDiagnostic(
-                        node_line,
-                        WARNING,
-                        f"output {key!r} also appears as an input; the unit does not transform it",
-                    )
-                )
-        self.units.append(unit)
+def _parse_line(line: str, lineno: int) -> tuple[str, object]:
+    """A universe line's tag and its parse: (name, flag), a state or a motion."""
+    tag = line.partition("\t")[0].strip()
+    parse = _LINE_PARSERS.get(tag)
+    if parse is None:
+        raise ParseError(f"unrecognized line tag {tag!r}", lineno)
+    return tag, parse(_split_fields(line), lineno)
 
 
 def parse_foon(text: str | bytes) -> tuple[list[FunctionalUnit], list[ParseDiagnostic]]:
@@ -210,37 +124,100 @@ def parse_foon(text: str | bytes) -> tuple[list[FunctionalUnit], list[ParseDiagn
 
     Recovers after errors so one pass surfaces every problem; callers must
     treat any error-severity diagnostic as a failed parse.  Never raises on
-    arbitrary input: bytes are decoded as UTF-8 with replacement.  An input
-    that yields no units at all earns an "empty universe" error (reported at
-    line 1 even for empty text, the one diagnostic without a real line).
+    arbitrary input: bytes are decoded as UTF-8 with replacement, after a
+    byte-order mark if there is one.  An input that yields no units at all
+    earns an "empty universe" error (reported at line 1 even for empty text,
+    the one diagnostic without a real line).
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
-    reader = _Reader()
-    units, diagnostics = reader.units, reader.diagnostics
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+        text = text.decode("utf-8-sig", errors="replace")
+    parsed: dict[str, tuple[str, object]] = {}  # raw O, S or M line -> tag, parse
+    state_sets: dict[tuple[str, ...], frozenset[StateDescriptor]] = {}
+    nodes: dict[tuple[str, ...], ObjectNode] = {}  # a block's raw lines -> node
+    units: list[FunctionalUnit] = []
+    diagnostics: list[ParseDiagnostic] = []
+    block: list[str] = []  # the open block's raw lines; empty if none
+    start = 0  # the open block's O line number
+    inputs: list[ObjectNode] = []
+    outputs: list[tuple[ObjectNode, int]] = []  # node, its O line number
+    motion: Motion | None = None
+    broken = False  # the open unit has an error; it is dropped at its separator
+
+    def fail(lineno: int, message: str, grammar: bool = False) -> None:
+        # A unit's first error breaks it; after that only a line's own grammar
+        # is reported, not what follows from the first error.
+        nonlocal broken
+        if grammar or not broken:
+            diagnostics.append(ParseDiagnostic(lineno, ERROR, message))
+        broken = True
+
+    lines = text.splitlines()
+    # A last separator, at the last line's number, ends a final unit written without one.
+    for lineno, raw in chain(enumerate(lines, start=1), [(max(len(lines), 1), "//")]):
         line = raw.rstrip()
         if not line:
             continue
         if line.startswith("//"):
-            reader.finish_unit(lineno)
-            continue
-        try:
-            tag = line.partition("\t")[0].strip()
-            if tag == "O":
-                reader.open(line, lineno)
-            elif tag == "S":
-                if not reader.add_state(line, lineno) and not reader.broken:
-                    raise ParseError("state line with no preceding object line", lineno)
-            elif tag == "M":
-                reader.set_motion(line, lineno)
+            tag = "//"
+        else:
+            entry = parsed.get(line)
+            if entry is None:
+                try:
+                    entry = parsed[line] = _parse_line(line, lineno)
+                except ParseError as exc:
+                    fail(lineno, exc.message, grammar=True)
+                    continue
+            tag = entry[0]
+            if tag == "S":
+                if block:
+                    block.append(line)
+                else:
+                    fail(lineno, "state line with no preceding object line")
+                continue
+        if block:  # the block's node joins the inputs, or the outputs after the motion
+            key = tuple(block)
+            node = nodes.get(key)
+            if node is None:
+                states = key[1:]
+                if states not in state_sets:
+                    state_sets[states] = frozenset(parsed[state][1] for state in states)
+                name, flag = parsed[key[0]][1]
+                node = nodes[key] = ObjectNode(name, state_sets[states], flag)
+            if motion is None:
+                inputs.append(node)
             else:
-                raise ParseError(f"unrecognized line tag {tag!r}", lineno)
-        except ParseError as exc:
-            diagnostics.append(ParseDiagnostic(lineno, ERROR, exc.message))
-            reader.broken = True
-    reader.finish_unit(max(lineno, 1))
+                outputs.append((node, start))
+            block = []
+        if tag == "O":
+            block, start = [line], lineno
+        elif tag == "M":
+            if motion is not None:
+                fail(lineno, "second motion line within one unit")
+            elif not inputs:
+                fail(lineno, "motion line with no input objects before it")
+            else:
+                motion = entry[1]
+        else:
+            if motion is None:
+                if inputs:
+                    fail(lineno, "unit is missing its motion line")
+            elif not outputs:
+                fail(lineno, "unit has no output objects")
+            elif not broken:
+                made = [node for node, _ in outputs]
+                unit = FunctionalUnit(inputs, motion, made, len(units))
+                for key, (_, node_line) in zip(unit.output_keys, outputs):
+                    if key in unit.input_keys:
+                        diagnostics.append(
+                            ParseDiagnostic(
+                                node_line,
+                                WARNING,
+                                f"output {key!r} also appears as an input;"
+                                " the unit does not transform it",
+                            )
+                        )
+                units.append(unit)
+            inputs, outputs, motion, broken = [], [], None, False
     if not units and not any(d.severity == ERROR for d in diagnostics):
         diagnostics.append(
             ParseDiagnostic(1, ERROR, "empty universe: no functional units found")

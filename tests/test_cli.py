@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,56 @@ def test_validate_reports_errors_and_exits_2(tmp_path, capsys):
 def test_validate_missing_file_exits_2(capsys):
     assert main(["validate", "/no/such/file.txt"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "copies, warning", [(2, "1 duplicate unit\n"), (3, "2 duplicate units\n")]
+)
+def test_validate_warns_of_duplicate_units_and_counts_one(copies, warning, tmp_path, capsys):
+    universe = tmp_path / "universe.txt"
+    universe.write_text("O\tonion\t0\nM\tchop\nO\tonion\t0\nS\tchopped\n//\n" * copies)
+    assert main(["validate", str(universe)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1 unit, 2 object nodes\n"
+    assert captured.err == f"warning: dropped {warning}"
+
+
+def _run_every_command(paths, out_dir, capsys):
+    """Exit code, stdout, stderr and products of each command on one fixture's files."""
+    results = []
+    commands = [["validate", paths["foon"]]]
+    for algorithm in ("ids", "gbfs-success", "gbfs-inputs"):
+        commands.append([
+            "retrieve", "--foon", paths["foon"], "--kitchen", paths["kitchen"],
+            "--goal", paths["goal"], "--motions", paths["motions"], "--algorithm", algorithm,
+            "--out", str(out_dir / f"{algorithm}.txt"), "--dot", str(out_dir / f"{algorithm}.dot"),
+            "--json", str(out_dir / f"{algorithm}.json"),
+        ])
+    commands.append([
+        "compare", "--foon", paths["foon"], "--kitchen", paths["kitchen"], "--goal",
+        paths["goal"], "--motions", paths["motions"], "--json", str(out_dir / "compare.json"),
+    ])
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    products = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    return results, products
+
+
+def test_files_that_start_with_a_byte_order_mark_read_as_without_it(tmp_path, capsys):
+    inputs, plain, marked = tmp_path / "inputs", tmp_path / "plain", tmp_path / "marked"
+    for folder in (inputs, plain, marked):
+        folder.mkdir()
+    copies = {}
+    for kind, path in _paths("ice_cup").items():
+        copy = inputs / Path(path).name
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        copies[kind] = str(copy)
+    results, products = _run_every_command(_paths("ice_cup"), plain, capsys)
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 0]
+    assert len(products) == 10
+    assert _run_every_command(copies, marked, capsys) == (results, products)
 
 
 # --- retrieve ------------------------------------------------------------------
